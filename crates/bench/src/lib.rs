@@ -554,7 +554,7 @@ mod tests {
         dev.kernel("k").items(1 << 12, 1.0).launch();
         let snaps = args.metrics_snapshots();
         assert_eq!(snaps.len(), 1);
-        assert_eq!(snaps[0].totals.launches, 1);
+        assert_eq!(snaps[0].totals.counters.kernel_launches, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

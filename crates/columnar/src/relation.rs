@@ -81,11 +81,6 @@ impl Relation {
         self.payloads.len() > 1
     }
 
-    /// Decompose into parts (used by operators that consume the relation).
-    pub fn into_parts(self) -> (String, Column, Vec<Column>) {
-        (self.name, self.key, self.payloads)
-    }
-
     /// Row `i` as widened values: `(key, payloads...)`. Oracle/test helper.
     pub fn row(&self, i: usize) -> (i64, Vec<i64>) {
         (

@@ -13,7 +13,7 @@ use crate::op::{compile, compile_unfused, run_operator, ExecContext};
 use crate::{EngineError, Plan, Table};
 use columnar::{DType, Relation};
 use sim::{Device, OpStats, SimTime};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Load-time statistics for one catalog column: the physical type plus the
 /// observed value range. The SQL binder types expressions against `dtype`;
@@ -66,7 +66,9 @@ impl TableSchema {
 /// statistics, keys and dictionaries) for the SQL binder and lowering.
 #[derive(Default)]
 pub struct Catalog {
-    tables: HashMap<String, Table>,
+    /// Ordered so a dropped catalog frees its tables in a fixed order: the
+    /// trace's memory samples at teardown must not depend on hash seeds.
+    tables: BTreeMap<String, Table>,
     schemas: HashMap<String, TableSchema>,
     /// Bumped on every mutation (insert, key/dictionary declarations).
     /// The plan cache keys entries on this, so a statistics refresh or

@@ -331,12 +331,14 @@ fn run_operator_value(
     }
     let before = ctx.dev.counters();
     let t0 = ctx.dev.elapsed();
-    ctx.dev.reset_peak_mem();
-    let ev = op.evaluate(ctx, inputs)?;
+    // The node's peak is the highest absolute usage inside its bracket;
+    // the bracket nests, so the query's peak still covers every node.
+    let (ev, peak_bytes) = ctx.dev.peak_bracket(|| op.evaluate(ctx, inputs));
+    let ev = ev?;
     let t1 = ctx.dev.elapsed();
     let elapsed = t1 - t0;
     let phases = ev.phases.unwrap_or_default();
-    let mut op_stats = OpStats::new(phases, ev.out.num_rows(), ctx.dev.mem_report().peak_bytes);
+    let mut op_stats = OpStats::new(phases, ev.out.num_rows(), peak_bytes);
     // Device time outside the operator's phase breakdown: sampling,
     // chunk staging, plan glue. (SimTime subtraction saturates at zero.)
     op_stats.other = elapsed - op_stats.phases.total();

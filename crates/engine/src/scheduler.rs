@@ -71,8 +71,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 pub type Policy = sim::SchedPolicy;
 
 /// Admission-control configuration for a serving session: how deep the
-/// admission queue may grow (in total and per tenant class) before
-/// arrivals are shed, and whether the predicted-memory gate rejects
+/// admission queue may grow before arrivals are shed, and whether the
+/// predicted-memory gate rejects
 /// queries whose cost-model memory floor already exceeds their budget.
 ///
 /// The default is the PR-8 behavior: unbounded queue, no gate.
@@ -82,9 +82,6 @@ pub struct ServingConfig {
     /// classes; an arrival that would exceed it is shed with
     /// [`EngineError::QueueShed`]. `None` is unbounded.
     pub total_depth: Option<usize>,
-    /// Per-class depth limits, by class name. Classes not listed are
-    /// unbounded (up to `total_depth`).
-    pub per_class_depth: Vec<(String, usize)>,
     /// When set, a query whose predicted peak memory
     /// ([`cost::estimate`]) exceeds its budget is rejected before
     /// registration with [`EngineError::AdmissionRejected`] instead of
@@ -108,12 +105,6 @@ impl ServingConfig {
     /// Bound the total number of queries in the system.
     pub fn with_total_depth(mut self, depth: usize) -> Self {
         self.total_depth = Some(depth);
-        self
-    }
-
-    /// Bound one class's queries in the system.
-    pub fn with_class_depth(mut self, class: impl Into<String>, depth: usize) -> Self {
-        self.per_class_depth.push((class.into(), depth));
         self
     }
 
@@ -415,36 +406,10 @@ fn run_session(
     // before registration (they never get a device-side arrival stamp).
     let session_start = dev.elapsed();
 
-    // Tenant classes index the device-side per-class queue limits. The
-    // mapping is deterministic (first appearance in spec order), so limit
-    // checks — like everything else in the session — are functions of the
-    // specs alone.
-    let mut classes: Vec<&str> = Vec::new();
-    let class_ids: Vec<u32> = entries
-        .iter()
-        .map(|entry| {
-            let name = entry.class.as_deref().unwrap_or("default");
-            match classes.iter().position(|c| *c == name) {
-                Some(i) => i as u32,
-                None => {
-                    classes.push(name);
-                    (classes.len() - 1) as u32
-                }
-            }
-        })
-        .collect();
-    let mut per_class_depth: Vec<Option<usize>> = vec![None; classes.len()];
-    for (name, depth) in &serving.per_class_depth {
-        if let Some(i) = classes.iter().position(|c| c == name) {
-            let slot = &mut per_class_depth[i];
-            *slot = Some(slot.map_or(*depth, |d| d.min(*depth)));
-        }
-    }
     dev.sched_start_with(
         policy,
         QueueLimits {
             total_depth: serving.total_depth,
-            per_class_depth,
         },
     );
     let free = dev
@@ -461,8 +426,7 @@ fn run_session(
     }
     let registered: Vec<Registered> = entries
         .iter()
-        .zip(&class_ids)
-        .map(|(entry, &class_id)| {
+        .map(|entry| {
             let spec = &entry.spec;
             let budget = spec.budget_bytes.unwrap_or(fallback_budget);
             // The cost model's prediction drives SJF ordering and the
@@ -488,7 +452,6 @@ fn run_session(
                 budget,
                 entry.arrival,
                 SimTime::from_secs(predicted.secs),
-                Some(class_id),
             );
             match handle {
                 Ok(qdev) => {

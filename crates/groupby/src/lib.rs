@@ -244,7 +244,9 @@ pub fn run_group_by(
     );
     let before = dev.counters();
     let t0 = dev.elapsed();
-    let mut out = match algorithm {
+    // A nested peak bracket: the algorithm's own watermark reset must not
+    // hide what the enclosing operator and query held before it.
+    let (mut out, _) = dev.peak_bracket(|| match algorithm {
         GroupByAlgorithm::HashGlobal => hash::hash_groupby(dev, input, aggs, config),
         GroupByAlgorithm::SortGftr => sort::sort_groupby(dev, input, aggs, config, true),
         GroupByAlgorithm::SortGfur => sort::sort_groupby(dev, input, aggs, config, false),
@@ -254,7 +256,7 @@ pub fn run_group_by(
         GroupByAlgorithm::PartitionedGfur => {
             partitioned::partitioned_groupby(dev, input, aggs, config, false)
         }
-    };
+    });
     out.stats.op.counters = dev.counters().delta_since(&before).0;
     out.stats.op.query = dev.query_id();
     dev.trace_span(sim::SpanCat::GroupBy, algorithm.name(), t0, dev.elapsed());

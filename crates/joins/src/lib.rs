@@ -272,7 +272,9 @@ pub fn run_join(
 ) -> JoinOutput {
     let before = dev.counters();
     let t0 = dev.elapsed();
-    let mut out = match algorithm {
+    // A nested peak bracket: the algorithm's own watermark reset must not
+    // hide what the enclosing operator and query held before it.
+    let (mut out, _) = dev.peak_bracket(|| match algorithm {
         Algorithm::SmjUm => smj::smj_um(dev, r, s, config),
         Algorithm::SmjOm => smj::smj_om(dev, r, s, config),
         Algorithm::PhjUm => phj_um::phj_um(dev, r, s, config),
@@ -280,7 +282,7 @@ pub fn run_join(
         Algorithm::PhjOmGfur => phj_om::phj_om_gfur(dev, r, s, config),
         Algorithm::Nphj => nphj::nphj(dev, r, s, config),
         Algorithm::CpuRadix => cpu::cpu_radix_join(dev, r, s, config),
-    };
+    });
     out.stats.op.counters = dev.counters().delta_since(&before).0;
     out.stats.op.query = dev.query_id();
     dev.trace_span(sim::SpanCat::Join, algorithm.name(), t0, dev.elapsed());

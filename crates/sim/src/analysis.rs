@@ -22,7 +22,7 @@
 //! bit-identical across [`DeviceConfig::host_threads`] settings and
 //! scheduling policies, like the counters they are derived from.
 
-use crate::trace::{kernel_stats, KernelStat, Trace};
+use crate::trace::{kernel_stats, Trace};
 use crate::{Counters, DeviceConfig, SECTOR_BYTES};
 use serde::Serialize;
 
@@ -298,40 +298,25 @@ pub struct KernelAnalysis {
     pub patterns: Vec<Diagnosis>,
 }
 
-/// The counters a [`KernelStat`] aggregates, as a [`Counters`] record so
-/// the same analysis entry points apply.
-fn stat_counters(s: &KernelStat, cfg: &DeviceConfig) -> Counters {
-    Counters {
-        kernel_launches: s.launches,
-        cycles: s.total_secs * cfg.clock_hz,
-        warp_instructions: s.warp_instructions,
-        // The per-name aggregate does not split reads from writes; book
-        // everything as reads — `dram_bytes()` (all the analysis uses,
-        // except the scatter diagnosis) is unaffected.
-        dram_read_bytes: s.dram_bytes,
-        dram_write_bytes: 0,
-        load_requests: s.load_requests,
-        sectors_requested: s.sectors_requested,
-        l2_hits: s.l2_hits,
-        l2_misses: s.l2_misses,
-        atomics: s.atomics,
-    }
-}
-
 /// Analyze every kernel name appearing in `traces`, in
 /// [`kernel_stats`]'s order (total time descending).
 pub fn analyze_kernels(traces: &[Trace], cfg: &DeviceConfig) -> Vec<KernelAnalysis> {
     kernel_stats(traces)
         .into_iter()
         .map(|s| {
-            let c = stat_counters(&s, cfg);
+            // Time is the summed launch durations, as the kernel table
+            // reports it.
+            let c = Counters {
+                cycles: s.total_secs * cfg.clock_hz,
+                ..s.counters
+            };
             KernelAnalysis {
                 name: s.name,
-                launches: s.launches,
+                launches: c.kernel_launches,
                 total_secs: s.total_secs,
-                dram_bytes: s.dram_bytes,
-                sectors_per_request: s.sectors_per_request(),
-                l2_hit_rate: s.l2_hit_rate(),
+                dram_bytes: c.dram_bytes(),
+                sectors_per_request: c.sectors_per_request(),
+                l2_hit_rate: c.l2_hit_rate(),
                 roofline: roofline(&c, cfg),
                 patterns: diagnose(&c, cfg),
             }
@@ -466,6 +451,31 @@ mod tests {
             pats.iter()
                 .any(|p| p.pattern == AccessPattern::PartitionScatter),
             "scatter store must be diagnosed: {pats:?}"
+        );
+    }
+
+    #[test]
+    fn traced_scatter_kernel_diagnoses_partition_scatter() {
+        // The per-kernel analysis must keep the read/write split of the
+        // launches it aggregates: the scatter diagnosis needs write bytes.
+        let dev = Device::a100();
+        let n = 1usize << 18;
+        let buf = dev.alloc::<i32>(n * 64, "parts");
+        dev.enable_tracing();
+        dev.kernel("scatter")
+            .items(n as u64, 8.0)
+            .warp_stores(4, (0..n).map(|i| buf.addr_of((i * 64 + 31) % (n * 64))))
+            .launch();
+        let tr = dev.take_trace().unwrap();
+        let ka = analyze_kernels(std::slice::from_ref(&tr), dev.config());
+        assert_eq!(ka.len(), 1);
+        assert!(
+            ka[0]
+                .patterns
+                .iter()
+                .any(|p| p.pattern == AccessPattern::PartitionScatter),
+            "traced scatter kernel must be diagnosed: {:?}",
+            ka[0].patterns
         );
     }
 

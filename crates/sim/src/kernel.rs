@@ -14,7 +14,8 @@
 //! The calibration is validated against Table 4 of the paper in
 //! `tests/calibration.rs` of the `primitives` crate.
 
-use crate::{Device, L2Cache, SimTime, SECTOR_BYTES, WARP_SIZE};
+use crate::trace::{KernelEvent, TraceEvent};
+use crate::{Counters, Device, L2Cache, SimTime, SECTOR_BYTES, WARP_SIZE};
 
 /// Warps per block in the parallel warp-traffic path: addresses are
 /// materialized block-wise (1 Mi addresses, 8 MiB of sector ids) so memory
@@ -32,20 +33,13 @@ const PAR_MIN_WARPS_PER_THREAD: usize = 32;
 pub struct KernelBuilder<'d> {
     dev: &'d Device,
     name: &'static str,
-    warp_instructions: u64,
-    seq_read_bytes: u64,
-    seq_write_bytes: u64,
-    load_requests: u64,
-    sectors_requested: u64,
-    l2_hit_sectors: u64,
-    dram_gather_sectors: u64,
-    /// DRAM-missing sectors written by [`KernelBuilder::warp_stores`]; each
-    /// costs a read-modify-write, so its write-back half is charged to
-    /// `Counters::dram_write_bytes` at launch.
-    store_writeback_sectors: u64,
+    /// The launch's counter record, accumulated as work is charged;
+    /// `launch` stamps its launch count and cycles.
+    c: Counters,
+    /// Perfectly coalesced streaming bytes, read and written.
+    seq_bytes: u64,
     /// Gather DRAM bytes after the per-request coalescing penalty.
     penalized_gather_bytes: f64,
-    atomics_total: u64,
     atomics_hottest: u64,
 }
 
@@ -54,16 +48,9 @@ impl<'d> KernelBuilder<'d> {
         KernelBuilder {
             dev,
             name,
-            warp_instructions: 0,
-            seq_read_bytes: 0,
-            seq_write_bytes: 0,
-            load_requests: 0,
-            sectors_requested: 0,
-            l2_hit_sectors: 0,
-            dram_gather_sectors: 0,
-            store_writeback_sectors: 0,
+            c: Counters::default(),
+            seq_bytes: 0,
             penalized_gather_bytes: 0.0,
-            atomics_total: 0,
             atomics_hottest: 0,
         }
     }
@@ -73,19 +60,21 @@ impl<'d> KernelBuilder<'d> {
     /// ~18.5 warp instructions per warp (Table 4: 77.6M for 2^27 items).
     pub fn items(mut self, n: u64, warp_instr: f64) -> Self {
         let warps = n.div_ceil(WARP_SIZE as u64);
-        self.warp_instructions += (warps as f64 * warp_instr).round() as u64;
+        self.c.warp_instructions += (warps as f64 * warp_instr).round() as u64;
         self
     }
 
     /// Charge perfectly coalesced streaming reads.
     pub fn seq_read_bytes(mut self, bytes: u64) -> Self {
-        self.seq_read_bytes += bytes;
+        self.c.dram_read_bytes += bytes;
+        self.seq_bytes += bytes;
         self
     }
 
     /// Charge perfectly coalesced streaming writes.
     pub fn seq_write_bytes(mut self, bytes: u64) -> Self {
-        self.seq_write_bytes += bytes;
+        self.c.dram_write_bytes += bytes;
+        self.seq_bytes += bytes;
         self
     }
 
@@ -123,7 +112,7 @@ impl<'d> KernelBuilder<'d> {
         let penalty = self.dev.inner.config.uncoalesced_penalty;
         let query = self.dev.query;
         let mut st = self.dev.inner.state.lock();
-        let l2 = st.l2_for(query);
+        let l2 = &mut st.scope(query).l2;
         let mut lane_sectors = [u64::MAX; WARP_SIZE];
         let mut lanes = 0usize;
         let mut iter = addrs.into_iter();
@@ -167,10 +156,11 @@ impl<'d> KernelBuilder<'d> {
     /// accumulation happens in the exact sequence the reference path uses.
     #[inline]
     fn charge_warp(&mut self, distinct: u64, dram: u64, ideal: f64, penalty: f64) {
-        self.load_requests += 1;
-        self.sectors_requested += distinct;
-        self.l2_hit_sectors += distinct - dram;
-        self.dram_gather_sectors += dram;
+        self.c.load_requests += 1;
+        self.c.sectors_requested += distinct;
+        self.c.l2_hits += distinct - dram;
+        self.c.l2_misses += dram;
+        self.c.dram_read_bytes += dram * SECTOR_BYTES;
         // Latency-bound penalty per *excess* sector, in units of a
         // fully coalesced 4-byte request (4 sectors). Crucially this
         // depends on how scattered the request is, not on the
@@ -210,7 +200,7 @@ impl<'d> KernelBuilder<'d> {
             }
             let exhausted = sectors.len() < block_lanes;
             let mut st = self.dev.inner.state.lock();
-            self.charge_block(st.l2_for(query), &sectors, threads, ideal, penalty);
+            self.charge_block(&mut st.scope(query).l2, &sectors, threads, ideal, penalty);
             drop(st);
             if exhausted {
                 break;
@@ -356,13 +346,12 @@ impl<'d> KernelBuilder<'d> {
     where
         I: IntoIterator<Item = u64>,
     {
-        let before = self.dram_gather_sectors;
+        let before = self.c.l2_misses;
         self = self.warp_loads(elem_size, addrs);
-        let new_dram = self.dram_gather_sectors - before;
-        // RMW: each missing sector is both fetched and written back. The
-        // write-back half is tracked separately so launch() can charge it
-        // to the DRAM-write counter as well as to time.
-        self.store_writeback_sectors += new_dram;
+        let new_dram = self.c.l2_misses - before;
+        // RMW: each missing sector is both fetched and written back; the
+        // write-back half is charged to DRAM writes as well as to time.
+        self.c.dram_write_bytes += new_dram * SECTOR_BYTES;
         self.penalized_gather_bytes += (new_dram * SECTOR_BYTES) as f64;
         self
     }
@@ -370,10 +359,10 @@ impl<'d> KernelBuilder<'d> {
     /// Charge `total` global atomic updates of which the hottest single
     /// address receives `hottest`. The hottest address serializes.
     pub fn atomics(mut self, total: u64, hottest: u64) -> Self {
-        self.atomics_total += total;
+        self.c.atomics += total;
         self.atomics_hottest = self.atomics_hottest.max(hottest);
         let instr = self.dev.inner.config.atomic_instr_cost;
-        self.warp_instructions += (total as f64 * instr / WARP_SIZE as f64).ceil() as u64;
+        self.c.warp_instructions += (total as f64 * instr / WARP_SIZE as f64).ceil() as u64;
         self
     }
 
@@ -387,10 +376,10 @@ impl<'d> KernelBuilder<'d> {
     /// with the query id, yielding the multi-tenant timeline).
     pub fn launch(self) -> SimTime {
         let cfg = &self.dev.inner.config;
-        let t_comp = self.warp_instructions as f64 / cfg.issue_rate();
-        let seq = (self.seq_read_bytes + self.seq_write_bytes) as f64;
-        let t_mem = (seq + self.penalized_gather_bytes) / cfg.effective_bandwidth()
-            + (self.l2_hit_sectors * SECTOR_BYTES) as f64 / cfg.l2_bandwidth();
+        let t_comp = self.c.warp_instructions as f64 / cfg.issue_rate();
+        let t_mem = (self.seq_bytes as f64 + self.penalized_gather_bytes)
+            / cfg.effective_bandwidth()
+            + (self.c.l2_hits * SECTOR_BYTES) as f64 / cfg.l2_bandwidth();
         let t_atomic = self.atomics_hottest as f64 * cfg.atomic_serialize_cycles / cfg.clock_hz;
         let t = t_comp.max(t_mem) + t_atomic + cfg.kernel_launch_overhead;
 
@@ -405,93 +394,41 @@ impl<'d> KernelBuilder<'d> {
             return SimTime::from_secs(t);
         }
 
-        let query = self.dev.query;
-        let gated = match query {
-            Some(qid) => self.dev.acquire_turn(qid),
-            None => false,
+        // The one per-launch record every view — counters, trace, metrics
+        // — is folded from.
+        let delta = Counters {
+            kernel_launches: 1,
+            cycles: t * cfg.clock_hz,
+            ..self.c
         };
+        let (name, query) = (self.name, self.dev.query);
+        let gated = query.is_some_and(|qid| self.dev.acquire_turn(qid));
 
         let mut st = self.dev.inner.state.lock();
-        let dev_start = st.clock;
-        st.clock += t;
-        self.bump(&mut st.counters, t, cfg.clock_hz);
-        let mut dropped = 0;
-        if let Some(tr) = st.trace.as_deref_mut() {
-            dropped += tr.push_kernel(self.event(dev_start, t, query));
+        for scope in std::iter::once(None).chain(query.map(Some)) {
+            let s = st.scope(scope);
+            let start = s.clock;
+            s.clock += t;
+            s.counters += &delta;
+            st.record(scope, |tr| {
+                tr.push(TraceEvent::Kernel(KernelEvent {
+                    name,
+                    start,
+                    dur: t,
+                    query,
+                    counters: delta.clone(),
+                }))
+            });
         }
-        if let Some(qid) = query {
-            let q = &mut st.queries[qid as usize];
-            let q_start = q.clock;
-            q.clock += t;
-            self.bump(&mut q.counters, t, cfg.clock_hz);
-            if let Some(tr) = q.trace.as_deref_mut() {
-                dropped += tr.push_kernel(self.event(q_start, t, query));
-            }
-        }
-        crate::note_trace_drops(&mut st.metrics, dropped);
-        let clock_after = st.clock;
+        let clock_after = st.base.clock;
         if let Some(m) = st.metrics.as_deref_mut() {
-            // Same arithmetic as bump(): metrics totals cross-check against
-            // Counters deltas and trace sums exactly.
-            m.on_kernel(
-                clock_after,
-                query,
-                t,
-                &crate::metrics::KernelDelta {
-                    warp_instructions: self.warp_instructions,
-                    dram_read_bytes: self.seq_read_bytes + self.dram_gather_sectors * SECTOR_BYTES,
-                    dram_write_bytes: self.seq_write_bytes
-                        + self.store_writeback_sectors * SECTOR_BYTES,
-                    load_requests: self.load_requests,
-                    sectors_requested: self.sectors_requested,
-                    l2_hits: self.l2_hit_sectors,
-                    l2_misses: self.dram_gather_sectors,
-                    atomics: self.atomics_total,
-                },
-            );
+            m.on_kernel(clock_after, query, t, &delta);
         }
         drop(st);
         if gated {
             self.dev.complete_turn(query.unwrap(), t);
         }
         SimTime::from_secs(t)
-    }
-
-    /// Fold this launch's work into a counter set.
-    fn bump(&self, c: &mut crate::Counters, t: f64, clock_hz: f64) {
-        c.kernel_launches += 1;
-        c.cycles += t * clock_hz;
-        c.warp_instructions += self.warp_instructions;
-        c.dram_read_bytes += self.seq_read_bytes + self.dram_gather_sectors * SECTOR_BYTES;
-        c.dram_write_bytes += self.seq_write_bytes + self.store_writeback_sectors * SECTOR_BYTES;
-        c.load_requests += self.load_requests;
-        c.sectors_requested += self.sectors_requested;
-        c.l2_hits += self.l2_hit_sectors;
-        c.l2_misses += self.dram_gather_sectors;
-        c.atomics += self.atomics_total;
-    }
-
-    /// The trace record of this launch starting at `start` on some clock.
-    fn event(
-        &self,
-        start: f64,
-        dur: f64,
-        query: Option<crate::QueryId>,
-    ) -> crate::trace::KernelEvent {
-        crate::trace::KernelEvent {
-            name: self.name,
-            start,
-            dur,
-            query,
-            warp_instructions: self.warp_instructions,
-            dram_read_bytes: self.seq_read_bytes + self.dram_gather_sectors * SECTOR_BYTES,
-            dram_write_bytes: self.seq_write_bytes + self.store_writeback_sectors * SECTOR_BYTES,
-            load_requests: self.load_requests,
-            sectors_requested: self.sectors_requested,
-            l2_hits: self.l2_hit_sectors,
-            l2_misses: self.dram_gather_sectors,
-            atomics: self.atomics_total,
-        }
     }
 }
 

@@ -122,19 +122,6 @@ impl Drop for PlanningGuard {
     }
 }
 
-/// Fold flight-recorder evictions into the `trace_events_dropped_total`
-/// counter. Called under the state lock right after a trace push, with the
-/// trace borrow already released; a no-op when nothing dropped or metrics
-/// are off.
-pub(crate) fn note_trace_drops(metrics: &mut Option<Box<metrics::DeviceMetrics>>, dropped: u64) {
-    if dropped > 0 {
-        if let Some(m) = metrics.as_deref_mut() {
-            m.registry
-                .counter_add("trace_events_dropped_total", Vec::new(), dropped);
-        }
-    }
-}
-
 /// Number of 32-bit lanes in a warp. Fixed across all NVIDIA architectures
 /// the paper evaluates.
 pub const WARP_SIZE: usize = 32;
@@ -151,41 +138,41 @@ pub const SECTOR_BYTES: u64 = 32;
 /// and simulated times — independent of which co-tenants run beside it.
 pub(crate) const QUERY_ADDR_BASE: u64 = 1 << 40;
 
-/// Per-query virtual device state: everything a query can observe about its
-/// own execution. Touched only by that query's kernels, in program order, so
-/// it evolves identically under any scheduling policy.
-pub(crate) struct QueryState {
+/// One scope's virtual device state: the base device's, or one query's.
+/// A query's scope is touched only by that query's kernels, in program
+/// order, so it evolves identically under any scheduling policy.
+pub(crate) struct ScopeState {
     pub(crate) counters: Counters,
     pub(crate) l2: L2Cache,
     pub(crate) mem: memory::MemLedger,
-    /// The query's private clock: sum of its own kernel times.
+    /// Simulated clock, in seconds, advanced by every kernel launch of the
+    /// scope (a query's clock is the sum of its own kernel times).
     pub(crate) clock: f64,
+    /// Opt-in event recorder (see [`trace`]); `None` costs nothing.
     pub(crate) trace: Option<Box<Trace>>,
-    /// The reservation this query's sub-ledger is capped at.
-    pub(crate) budget_bytes: u64,
 }
 
-impl QueryState {
-    fn new(config: &DeviceConfig, budget_bytes: u64) -> Self {
-        QueryState {
+impl ScopeState {
+    fn new(config: &DeviceConfig, addr_base: u64) -> Self {
+        ScopeState {
             counters: Counters::default(),
             l2: L2Cache::new(config.l2_bytes),
-            mem: memory::MemLedger::with_base(QUERY_ADDR_BASE),
+            mem: memory::MemLedger::with_base(addr_base),
             clock: 0.0,
             trace: None,
-            budget_bytes,
         }
     }
 }
 
+/// A query's scope plus the reservation its sub-ledger is capped at.
+pub(crate) struct QueryState {
+    pub(crate) scope: ScopeState,
+    pub(crate) budget_bytes: u64,
+}
+
 pub(crate) struct DeviceState {
-    pub(crate) counters: Counters,
-    pub(crate) l2: L2Cache,
-    pub(crate) mem: memory::MemLedger,
-    /// Simulated wall-clock, in seconds, advanced by every kernel launch.
-    pub(crate) clock: f64,
-    /// Opt-in event recorder (see [`trace`]); `None` costs nothing.
-    pub(crate) trace: Option<Box<Trace>>,
+    /// The base device's scope: device-wide totals and the catalog ledger.
+    pub(crate) base: ScopeState,
     /// Opt-in service-level metrics recorder (see [`metrics`]); like the
     /// trace, `None` costs one branch per launch.
     pub(crate) metrics: Option<Box<metrics::DeviceMetrics>>,
@@ -195,12 +182,45 @@ pub(crate) struct DeviceState {
 }
 
 impl DeviceState {
-    /// The L2 image a kernel probes: the query's private image for a query
-    /// handle, the device image otherwise.
-    pub(crate) fn l2_for(&mut self, query: Option<QueryId>) -> &mut L2Cache {
+    /// The scope a handle routes to: the query's on a query handle, the
+    /// base device's otherwise.
+    pub(crate) fn scope(&mut self, query: Option<QueryId>) -> &mut ScopeState {
         match query {
-            Some(q) => &mut self.queries[q as usize].l2,
-            None => &mut self.l2,
+            Some(q) => &mut self.queries[q as usize].scope,
+            None => &mut self.base,
+        }
+    }
+
+    /// Push one event into `query`'s trace — `push` runs only when that
+    /// trace is on, so nothing is built while tracing is off — and fold any
+    /// flight-recorder evictions into the `trace_events_dropped_total`
+    /// metric.
+    pub(crate) fn record(&mut self, query: Option<QueryId>, push: impl FnOnce(&mut Trace) -> u64) {
+        let Some(tr) = self.scope(query).trace.as_deref_mut() else {
+            return;
+        };
+        let dropped = push(tr);
+        if dropped > 0 {
+            if let Some(m) = self.metrics.as_deref_mut() {
+                m.registry
+                    .counter_add("trace_events_dropped_total", Vec::new(), dropped);
+            }
+        }
+    }
+
+    /// Sample `query`'s ledger after an allocation or free: a trace memory
+    /// event, plus the metrics occupancy series for the base ledger. Only
+    /// the base ledger feeds metrics: base allocations are program-ordered,
+    /// while query allocations race co-tenant sample points (their peaks
+    /// are reported per query instead).
+    pub(crate) fn on_mem(&mut self, query: Option<QueryId>) {
+        let s = self.scope(query);
+        let (clock, current) = (s.clock, s.mem.report().current_bytes);
+        self.record(query, |tr| tr.push_mem(clock, current));
+        if query.is_none() {
+            if let Some(m) = self.metrics.as_deref_mut() {
+                m.on_mem(current);
+            }
         }
     }
 }
@@ -246,19 +266,14 @@ pub struct Device {
 impl Device {
     /// Create a device from an explicit configuration.
     pub fn new(config: DeviceConfig) -> Self {
-        let l2 = L2Cache::new(config.l2_bytes);
         Device {
             inner: Arc::new(DeviceInner {
-                config,
                 state: Mutex::new(DeviceState {
-                    counters: Counters::default(),
-                    l2,
-                    mem: memory::MemLedger::default(),
-                    clock: 0.0,
-                    trace: None,
+                    base: ScopeState::new(&config, 0),
                     metrics: None,
                     queries: Vec::new(),
                 }),
+                config,
                 sched: std::sync::Mutex::new(sched::SchedState::default()),
                 sched_cv: std::sync::Condvar::new(),
             }),
@@ -298,6 +313,11 @@ impl Device {
         }
     }
 
+    /// Run `f` on the scope this handle routes to, under the state lock.
+    fn with_scope<R>(&self, f: impl FnOnce(&mut ScopeState) -> R) -> R {
+        f(self.inner.state.lock().scope(self.query))
+    }
+
     /// Begin describing a kernel launch. Call accounting methods on the
     /// returned builder and finish with [`KernelBuilder::launch`].
     pub fn kernel(&self, name: &'static str) -> KernelBuilder<'_> {
@@ -307,41 +327,37 @@ impl Device {
     /// Snapshot of the cumulative hardware counters (this query's own
     /// counters on a query handle; device-wide totals otherwise).
     pub fn counters(&self) -> Counters {
-        let st = self.inner.state.lock();
-        match self.query {
-            Some(q) => st.queries[q as usize].counters.clone(),
-            None => st.counters.clone(),
-        }
+        self.with_scope(|s| s.counters.clone())
     }
 
     /// Total simulated time elapsed: the query's private clock (sum of its
     /// own kernels) on a query handle, the device clock otherwise.
     pub fn elapsed(&self) -> SimTime {
-        let st = self.inner.state.lock();
-        SimTime::from_secs(match self.query {
-            Some(q) => st.queries[q as usize].clock,
-            None => st.clock,
-        })
+        SimTime::from_secs(self.with_scope(|s| s.clock))
     }
 
     /// Current and peak device-memory usage (the query's sub-ledger on a
     /// query handle).
     pub fn mem_report(&self) -> MemReport {
-        let st = self.inner.state.lock();
-        match self.query {
-            Some(q) => st.queries[q as usize].mem.report(),
-            None => st.mem.report(),
-        }
+        self.with_scope(|s| s.mem.report())
     }
 
     /// Reset the peak-memory watermark to the current usage. Call between
     /// experiments that share a device.
     pub fn reset_peak_mem(&self) {
-        let mut st = self.inner.state.lock();
-        match self.query {
-            Some(q) => st.queries[q as usize].mem.reset_peak(),
-            None => st.mem.reset_peak(),
-        }
+        self.with_scope(|s| s.mem.reset_peak());
+    }
+
+    /// Run `f` as a nested peak-memory bracket: the watermark is reset to
+    /// the current usage on entry, and on exit the outer watermark is
+    /// restored as `max(outer, inner)`, so enclosing brackets and the
+    /// handle's [`Device::mem_report`] still see every byte `f` held.
+    /// Returns `f`'s result and the bracket's peak — the highest *absolute*
+    /// usage reached inside it (not the increment over entry).
+    pub fn peak_bracket<R>(&self, f: impl FnOnce() -> R) -> (R, u64) {
+        let outer = self.with_scope(|s| s.mem.reset_peak());
+        let out = f();
+        (out, self.with_scope(|s| s.mem.raise_peak(outer)))
     }
 
     /// Reset counters, simulated clock, and the peak-memory watermark. Live
@@ -353,34 +369,22 @@ impl Device {
     /// trace is a sequence of overlapping timelines separated by markers.
     pub fn reset_stats(&self) {
         let mut st = self.inner.state.lock();
-        match self.query {
-            Some(qid) => {
-                let q = &mut st.queries[qid as usize];
-                let clock = q.clock;
-                let mut dropped = 0;
-                if let Some(tr) = q.trace.as_deref_mut() {
-                    dropped = tr.push_instant("reset_stats", clock);
-                }
-                q.counters = Counters::default();
-                q.clock = 0.0;
-                q.mem.reset_peak();
-                note_trace_drops(&mut st.metrics, dropped);
-            }
-            None => {
-                let clock = st.clock;
-                let mut dropped = 0;
-                if let Some(tr) = st.trace.as_deref_mut() {
-                    dropped = tr.push_instant("reset_stats", clock);
-                }
-                st.counters = Counters::default();
-                st.clock = 0.0;
-                st.mem.reset_peak();
-                note_trace_drops(&mut st.metrics, dropped);
-                if let Some(m) = st.metrics.as_deref_mut() {
-                    // Cumulative metrics totals stay monotone across the
-                    // reset; only the sample grid rebases to the new clock.
-                    m.on_reset();
-                }
+        let clock = st.scope(self.query).clock;
+        st.record(self.query, |tr| {
+            tr.push(TraceEvent::Instant(trace::InstantEvent {
+                name: "reset_stats",
+                ts: clock,
+            }))
+        });
+        let s = st.scope(self.query);
+        s.counters = Counters::default();
+        s.clock = 0.0;
+        s.mem.reset_peak();
+        if self.query.is_none() {
+            if let Some(m) = st.metrics.as_deref_mut() {
+                // Cumulative metrics totals stay monotone across the
+                // reset; only the sample grid rebases to the new clock.
+                m.on_reset();
             }
         }
     }
@@ -390,21 +394,7 @@ impl Device {
     /// query handle this starts the query's private trace, named
     /// `"<device>#q<id>"`.
     pub fn enable_tracing(&self) {
-        let mut st = self.inner.state.lock();
-        match self.query {
-            Some(qid) => {
-                let name = format!("{}#q{qid}", self.inner.config.name);
-                let q = &mut st.queries[qid as usize];
-                if q.trace.is_none() {
-                    q.trace = Some(Box::new(Trace::new(name)));
-                }
-            }
-            None => {
-                if st.trace.is_none() {
-                    st.trace = Some(Box::new(Trace::new(self.inner.config.name.clone())));
-                }
-            }
-        }
+        self.trace_recorder(|_| {});
     }
 
     /// [`Device::enable_tracing`] in bounded flight-recorder mode: the
@@ -414,51 +404,37 @@ impl Device {
     /// can keep tracing on without unbounded memory. Calling this on an
     /// already-tracing handle keeps the event log and (re)sets the cap.
     pub fn enable_tracing_ring(&self, capacity: usize) {
+        self.trace_recorder(|tr| tr.set_capacity(capacity));
+    }
+
+    /// Run `f` on this handle's trace recorder, starting one if needed.
+    fn trace_recorder(&self, f: impl FnOnce(&mut Trace)) {
+        let name = &self.inner.config.name;
         let mut st = self.inner.state.lock();
-        match self.query {
-            Some(qid) => {
-                let name = format!("{}#q{qid}", self.inner.config.name);
-                let q = &mut st.queries[qid as usize];
-                q.trace
-                    .get_or_insert_with(|| Box::new(Trace::new(name)))
-                    .set_capacity(capacity);
-            }
-            None => {
-                let name = self.inner.config.name.clone();
-                st.trace
-                    .get_or_insert_with(|| Box::new(Trace::new(name)))
-                    .set_capacity(capacity);
-            }
-        }
+        let tr = st.scope(self.query).trace.get_or_insert_with(|| {
+            Box::new(Trace::new(match self.query {
+                Some(q) => format!("{name}#q{q}"),
+                None => name.clone(),
+            }))
+        });
+        f(tr);
     }
 
     /// Whether this handle is currently recording trace events. Check this
     /// before doing work (string formatting, snapshotting `elapsed`) whose
     /// only purpose is a [`Device::trace_span`] call.
     pub fn tracing_enabled(&self) -> bool {
-        let st = self.inner.state.lock();
-        match self.query {
-            Some(q) => st.queries[q as usize].trace.is_some(),
-            None => st.trace.is_some(),
-        }
+        self.with_scope(|s| s.trace.is_some())
     }
 
     /// Stop tracing and return the recorded event log, if tracing was on.
     pub fn take_trace(&self) -> Option<Trace> {
-        let mut st = self.inner.state.lock();
-        match self.query {
-            Some(q) => st.queries[q as usize].trace.take().map(|b| *b),
-            None => st.trace.take().map(|b| *b),
-        }
+        self.with_scope(|s| s.trace.take().map(|b| *b))
     }
 
     /// Clone the event log recorded so far without stopping the recorder.
     pub fn trace_snapshot(&self) -> Option<Trace> {
-        let st = self.inner.state.lock();
-        match self.query {
-            Some(q) => st.queries[q as usize].trace.as_deref().cloned(),
-            None => st.trace.as_deref().cloned(),
-        }
+        self.with_scope(|s| s.trace.as_deref().cloned())
     }
 
     /// Record a retroactive span `[start, end]` on the simulated clock.
@@ -466,16 +442,14 @@ impl Device {
     /// an interval they already bracket with [`Device::elapsed`]; children
     /// therefore appear in the log before their enclosing parent.
     pub fn trace_span(&self, cat: SpanCat, name: &str, start: SimTime, end: SimTime) {
-        let mut st = self.inner.state.lock();
-        let tr = match self.query {
-            Some(q) => st.queries[q as usize].trace.as_deref_mut(),
-            None => st.trace.as_deref_mut(),
-        };
-        let mut dropped = 0;
-        if let Some(tr) = tr {
-            dropped = tr.push_span(cat, name.to_string(), start, end);
-        }
-        note_trace_drops(&mut st.metrics, dropped);
+        self.inner.state.lock().record(self.query, |tr| {
+            tr.push(TraceEvent::Span(trace::SpanEvent {
+                cat,
+                name: name.to_string(),
+                start: start.secs(),
+                end: end.secs(),
+            }))
+        });
     }
 
     /// Record a query-lifecycle stage `[start, end]` (equal for instants)
@@ -490,12 +464,14 @@ impl Device {
         start: SimTime,
         end: SimTime,
     ) {
-        let mut st = self.inner.state.lock();
-        let mut dropped = 0;
-        if let Some(tr) = st.trace.as_deref_mut() {
-            dropped = tr.push_lifecycle(query, stage, start.secs(), end.secs());
-        }
-        note_trace_drops(&mut st.metrics, dropped);
+        self.inner.state.lock().record(None, |tr| {
+            tr.push(TraceEvent::Lifecycle(LifecycleEvent {
+                query,
+                stage,
+                start: start.secs(),
+                end: end.secs(),
+            }))
+        });
     }
 
     /// Start recording service-level metrics (see the [`metrics`] module):
@@ -508,8 +484,8 @@ impl Device {
         assert!(self.query.is_none(), "enable_metrics on a query handle");
         let mut st = self.inner.state.lock();
         if st.metrics.is_none() {
-            let clock = st.clock;
-            let current = st.mem.report().current_bytes;
+            let clock = st.base.clock;
+            let current = st.base.mem.report().current_bytes;
             let mut m =
                 metrics::DeviceMetrics::new(self.inner.config.name.clone(), interval.secs(), clock);
             m.on_mem(current);
@@ -530,11 +506,6 @@ impl Device {
             .metrics
             .as_deref()
             .map(|m| m.snapshot())
-    }
-
-    /// Stop recording metrics and return the final snapshot, if enabled.
-    pub fn take_metrics(&self) -> Option<MetricsSnapshot> {
-        self.inner.state.lock().metrics.take().map(|m| m.snapshot())
     }
 
     /// Run `f` against the open metrics registry (no-op when metrics are
@@ -567,8 +538,7 @@ impl Device {
     /// Invalidate the modeled L2 (the query's private image on a query
     /// handle), e.g. to measure a cold run.
     pub fn flush_l2(&self) {
-        let mut st = self.inner.state.lock();
-        st.l2_for(self.query).clear();
+        self.with_scope(|s| s.l2.clear());
     }
 
     /// Allocate a zero-initialized buffer of `len` elements.
@@ -596,15 +566,16 @@ impl Device {
     }
 
     /// [`Device::sched_start`] with explicit waiting-room bounds: an
-    /// arrival that cannot be admitted immediately and finds the (total or
-    /// per-class) queue full is *shed* — its [`Device::sched_admit`]
-    /// resolves to [`AdmitOutcome::Shed`] and it must not run.
+    /// arrival that cannot be admitted immediately and finds the queue full
+    /// is *shed* — its [`Device::sched_admit`] resolves to
+    /// [`AdmitOutcome::Shed`] and it must not run.
     pub fn sched_start_with(&self, policy: SchedPolicy, limits: QueueLimits) {
         assert!(self.query.is_none(), "sched_start on a query handle");
         let (used, clock, tracing) = {
             let mut st = self.inner.state.lock();
             st.queries.clear();
-            (st.mem.report().current_bytes, st.clock, st.trace.is_some())
+            let b = &st.base;
+            (b.mem.report().current_bytes, b.clock, b.trace.is_some())
         };
         let available = self.inner.config.global_mem_bytes.saturating_sub(used);
         let mut sched = self.inner.sched_lock();
@@ -654,17 +625,14 @@ impl Device {
 
     /// Register a query with its full serving spec: an optional future
     /// arrival time (`None` = arrives now), the cost model's predicted
-    /// execution time (the ranking key of the shortest-job policies) and an
-    /// admission class index (matched against
-    /// [`QueueLimits::per_class_depth`]). Like the other registrations,
-    /// call from one thread in arrival order.
+    /// execution time (the ranking key of the shortest-job policies). Like
+    /// the other registrations, call from one thread in arrival order.
     pub fn sched_register_spec(
         &self,
         weight: f64,
         budget_bytes: u64,
         arrival: Option<SimTime>,
         predicted: SimTime,
-        class: Option<u32>,
     ) -> Result<Device, AdmissionError> {
         assert!(
             self.query.is_none(),
@@ -676,14 +644,13 @@ impl Device {
         // mirror equals the device clock here.
         let arrival_secs = match arrival {
             Some(a) => a.secs(),
-            None => self.inner.state.lock().clock,
+            None => self.inner.state.lock().base.clock,
         };
         let qid = self.inner.sched_lock().register_spec(
             weight,
             budget_bytes,
             arrival_secs,
             predicted.secs(),
-            class,
         )?;
         self.finish_register(qid, budget_bytes)
     }
@@ -696,8 +663,10 @@ impl Device {
                 qid as usize,
                 "sched_register must not race itself"
             );
-            st.queries
-                .push(QueryState::new(&self.inner.config, budget_bytes));
+            st.queries.push(QueryState {
+                scope: ScopeState::new(&self.inner.config, QUERY_ADDR_BASE),
+                budget_bytes,
+            });
         }
         self.inner.sched_lock().on_register(qid);
         self.inner.sched_cv.notify_all();
@@ -742,10 +711,7 @@ impl Device {
     /// race the clock), moves the device clock with the sched lock released
     /// (the two locks are never held together), then commits.
     fn apply_idle_advance(&self, delta: f64) {
-        {
-            let mut st = self.inner.state.lock();
-            st.clock += delta;
-        }
+        self.inner.state.lock().base.clock += delta;
         self.inner.sched_lock().finish_idle_advance(delta);
         self.inner.sched_cv.notify_all();
     }
@@ -823,7 +789,7 @@ impl Device {
             return false;
         }
         loop {
-            if sched.is_designated(qid) {
+            if sched.take_turn(qid) {
                 return true;
             }
             if let Some(delta) = sched.begin_idle_advance() {

@@ -51,7 +51,7 @@
 //! the recorded min/max. Merging two histograms is bucket-wise addition —
 //! exactly the histogram of the concatenated stream.
 
-use crate::QueryId;
+use crate::{Counters, QueryId};
 
 /// Scale for histograms that record seconds as integer nanoseconds.
 pub const SECONDS_SCALE: f64 = 1e-9;
@@ -376,52 +376,12 @@ impl MetricsRegistry {
 
 /// Cumulative launch-derived totals, independent of `Counters` resets, so
 /// the exported `*_total` series are monotone by construction.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelTotals {
-    /// Kernel launches since metrics were enabled.
-    pub launches: u64,
     /// Busy simulated time, integer nanoseconds.
     pub busy_ns: u64,
-    /// DRAM bytes read.
-    pub dram_read_bytes: u64,
-    /// DRAM bytes written.
-    pub dram_write_bytes: u64,
-    /// Warp instructions issued.
-    pub warp_instructions: u64,
-    /// Warp-level load requests.
-    pub load_requests: u64,
-    /// Sectors requested by those loads.
-    pub sectors_requested: u64,
-    /// L2 sector hits.
-    pub l2_hits: u64,
-    /// L2 sector misses.
-    pub l2_misses: u64,
-    /// Global atomic updates.
-    pub atomics: u64,
-}
-
-/// Per-launch counter delta handed to `DeviceMetrics::on_kernel` by the
-/// kernel builder — the same quantities `KernelBuilder::bump` folds into
-/// [`crate::Counters`], so metrics totals cross-check against counter
-/// deltas and trace sums exactly.
-#[derive(Debug, Clone, Copy)]
-pub struct KernelDelta {
-    /// Warp instructions issued by this launch.
-    pub warp_instructions: u64,
-    /// DRAM bytes read.
-    pub dram_read_bytes: u64,
-    /// DRAM bytes written.
-    pub dram_write_bytes: u64,
-    /// Warp-level load requests.
-    pub load_requests: u64,
-    /// Sectors requested.
-    pub sectors_requested: u64,
-    /// L2 sector hits.
-    pub l2_hits: u64,
-    /// L2 sector misses.
-    pub l2_misses: u64,
-    /// Global atomic updates.
-    pub atomics: u64,
+    /// Launch counters folded since metrics were enabled.
+    pub counters: Counters,
 }
 
 /// One sampled time-series: points are `(simulated seconds, value)`.
@@ -465,11 +425,7 @@ const PER_QUERY_SERIES_CAP: u32 = 8;
 #[derive(Debug, Clone, Default)]
 struct Window {
     busy_ns: u64,
-    launches: u64,
-    dram_read_bytes: u64,
-    dram_write_bytes: u64,
-    l2_hits: u64,
-    l2_misses: u64,
+    counters: Counters,
     query_busy_ns: Vec<(QueryId, u64)>,
     mem_high_water: u64,
 }
@@ -533,26 +489,20 @@ impl Sampler {
             "dram_read_bw_gbps",
             Vec::new(),
             tick,
-            rate(w.dram_read_bytes as f64) / 1e9,
+            rate(w.counters.dram_read_bytes as f64) / 1e9,
         );
         self.push_point(
             "dram_write_bw_gbps",
             Vec::new(),
             tick,
-            rate(w.dram_write_bytes as f64) / 1e9,
+            rate(w.counters.dram_write_bytes as f64) / 1e9,
         );
-        let sectors = w.l2_hits + w.l2_misses;
-        let hit_rate = if sectors == 0 {
-            0.0
-        } else {
-            w.l2_hits as f64 / sectors as f64
-        };
-        self.push_point("l2_hit_rate", Vec::new(), tick, hit_rate);
+        self.push_point("l2_hit_rate", Vec::new(), tick, w.counters.l2_hit_rate());
         self.push_point(
             "kernel_launch_rate",
             Vec::new(),
             tick,
-            rate(w.launches as f64),
+            rate(w.counters.kernel_launches as f64),
         );
         self.push_point(
             "busy_fraction",
@@ -585,13 +535,13 @@ impl Sampler {
             "kernel_launches_total",
             Vec::new(),
             tick,
-            totals.launches as f64,
+            totals.counters.kernel_launches as f64,
         );
         self.push_point(
             "dram_bytes_total",
             Vec::new(),
             tick,
-            (totals.dram_read_bytes + totals.dram_write_bytes) as f64,
+            totals.counters.dram_bytes() as f64,
         );
     }
 }
@@ -625,34 +575,22 @@ impl DeviceMetrics {
         }
     }
 
-    /// Fold one kernel launch in (called under the device lock, after the
-    /// counters bump; `clock` is the device clock at launch completion).
+    /// Fold one kernel launch's counter record in (called under the device
+    /// lock, after the counters bump; `clock` is the device clock at launch
+    /// completion).
     pub(crate) fn on_kernel(
         &mut self,
         clock: f64,
         query: Option<QueryId>,
         dur_secs: f64,
-        d: &KernelDelta,
+        d: &Counters,
     ) {
         let ns = secs_to_ticks(dur_secs);
-        self.totals.launches += 1;
         self.totals.busy_ns += ns;
-        self.totals.dram_read_bytes += d.dram_read_bytes;
-        self.totals.dram_write_bytes += d.dram_write_bytes;
-        self.totals.warp_instructions += d.warp_instructions;
-        self.totals.load_requests += d.load_requests;
-        self.totals.sectors_requested += d.sectors_requested;
-        self.totals.l2_hits += d.l2_hits;
-        self.totals.l2_misses += d.l2_misses;
-        self.totals.atomics += d.atomics;
-
+        self.totals.counters += d;
         let w = &mut self.sampler.window;
-        w.launches += 1;
         w.busy_ns += ns;
-        w.dram_read_bytes += d.dram_read_bytes;
-        w.dram_write_bytes += d.dram_write_bytes;
-        w.l2_hits += d.l2_hits;
-        w.l2_misses += d.l2_misses;
+        w.counters += d;
         if let Some(q) = query {
             // Dual accounting: the device-wide totals above, plus the
             // query's own labelled counters.
@@ -705,7 +643,7 @@ impl DeviceMetrics {
             device: self.device.clone(),
             interval_secs: self.sampler.interval,
             registry: self.registry.clone(),
-            totals: self.totals,
+            totals: self.totals.clone(),
             series,
             lifecycles,
         }
@@ -891,10 +829,10 @@ pub fn openmetrics(snaps: &[MetricsSnapshot]) -> String {
     for (i, snap) in snaps.iter().enumerate() {
         let dev = format!("{}#{i}", snap.device);
         let extra = [("device", dev.as_str())];
-        let t = &snap.totals;
+        let (busy_ns, t) = (snap.totals.busy_ns, &snap.totals.counters);
         for (name, v) in [
-            ("sim_kernel_launches_total", t.launches),
-            ("sim_busy_ns_total", t.busy_ns),
+            ("sim_kernel_launches_total", t.kernel_launches),
+            ("sim_busy_ns_total", busy_ns),
             ("sim_dram_read_bytes_total", t.dram_read_bytes),
             ("sim_dram_write_bytes_total", t.dram_write_bytes),
             ("sim_warp_instructions_total", t.warp_instructions),
@@ -1003,13 +941,13 @@ pub fn metrics_json(snaps: &[MetricsSnapshot]) -> String {
             "{{\"device\":\"{dev}\",\"sample_interval_s\":{},",
             fmt_f64(snap.interval_secs)
         ));
-        let t = &snap.totals;
+        let (busy_ns, t) = (snap.totals.busy_ns, &snap.totals.counters);
         out.push_str(&format!(
             "\"totals\":{{\"kernel_launches\":{},\"busy_ns\":{},\"dram_read_bytes\":{},\
              \"dram_write_bytes\":{},\"warp_instructions\":{},\"load_requests\":{},\
              \"sectors_requested\":{},\"l2_hits\":{},\"l2_misses\":{},\"atomics\":{}}},",
-            t.launches,
-            t.busy_ns,
+            t.kernel_launches,
+            busy_ns,
             t.dram_read_bytes,
             t.dram_write_bytes,
             t.warp_instructions,
@@ -1323,7 +1261,9 @@ mod tests {
     #[test]
     fn sampler_emits_on_tick_crossings_with_monotone_totals() {
         let mut m = DeviceMetrics::new("dev".into(), 1.0, 0.0);
-        let d = KernelDelta {
+        let d = Counters {
+            kernel_launches: 1,
+            cycles: 0.7,
             warp_instructions: 10,
             dram_read_bytes: 1 << 20,
             dram_write_bytes: 1 << 19,
@@ -1357,7 +1297,7 @@ mod tests {
         for (_, v) in &busy.points {
             assert!((*v - 1.0).abs() < 1e-6, "fully busy device: {v}");
         }
-        assert_eq!(snap.totals.launches, 10);
+        assert_eq!(snap.totals.counters.kernel_launches, 10);
     }
 
     #[test]

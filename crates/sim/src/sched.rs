@@ -96,13 +96,9 @@ impl SchedPolicy {
 /// bounded queue to pure admission control.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueueLimits {
-    /// Maximum queries that may wait for admission at once, across all
-    /// classes. `None` = unbounded.
+    /// Maximum queries that may wait for admission at once. `None` =
+    /// unbounded.
     pub total_depth: Option<usize>,
-    /// Per-class waiting caps, indexed by the class index a query was
-    /// registered with. Classes beyond the vector (or `None` entries) are
-    /// uncapped.
-    pub per_class_depth: Vec<Option<usize>>,
 }
 
 /// What [`crate::Device::sched_admit`] resolved to: the query either holds
@@ -208,8 +204,6 @@ pub(crate) struct QuerySched {
     /// the ranking key of the shortest-job policies. Zero when the caller
     /// has no estimate.
     predicted_secs: f64,
-    /// Admission class index, for per-class queue depth limits.
-    class: Option<u32>,
     admitted: bool,
     finished: bool,
     shed: bool,
@@ -247,6 +241,11 @@ pub(crate) struct SchedState {
     limits: QueueLimits,
     queries: Vec<QuerySched>,
     designated: Option<QueryId>,
+    /// The designated query has taken its turn and its kernel is being
+    /// accounted. The designation stays fixed until the turn completes: a
+    /// co-tenant's retire may admit a better-ranked query meanwhile, but
+    /// that query can only take the *next* turn.
+    turn_in_flight: bool,
     /// Round-robin resume point: the first id considered for the next turn.
     rr_cursor: u32,
     /// Sum of granted (admitted, unretired) reservations.
@@ -286,6 +285,7 @@ impl SchedState {
         self.limits = limits;
         self.queries.clear();
         self.designated = None;
+        self.turn_in_flight = false;
         self.rr_cursor = 0;
         self.reserved_bytes = 0;
         self.available_bytes = available_bytes;
@@ -315,7 +315,7 @@ impl SchedState {
         budget_bytes: u64,
     ) -> Result<QueryId, AdmissionError> {
         let clock = self.clock;
-        self.register_spec(weight, budget_bytes, clock, 0.0, None)
+        self.register_spec(weight, budget_bytes, clock, 0.0)
     }
 
     /// Register a query that arrives at `arrival_secs` on the simulated
@@ -326,12 +326,12 @@ impl SchedState {
         budget_bytes: u64,
         arrival_secs: f64,
     ) -> Result<QueryId, AdmissionError> {
-        self.register_spec(weight, budget_bytes, arrival_secs, 0.0, None)
+        self.register_spec(weight, budget_bytes, arrival_secs, 0.0)
     }
 
     /// Register a query with its full serving spec: arrival time (possibly
-    /// in the future), predicted execution time (the shortest-job ranking
-    /// key) and admission class (for per-class queue limits). Until the
+    /// in the future) and predicted execution time (the shortest-job
+    /// ranking key). Until the
     /// clock reaches its arrival the query is invisible to admission and
     /// designation; when every in-system query has drained and only future
     /// arrivals remain, the clock jumps forward (see
@@ -342,7 +342,6 @@ impl SchedState {
         budget_bytes: u64,
         arrival_secs: f64,
         predicted_secs: f64,
-        class: Option<u32>,
     ) -> Result<QueryId, AdmissionError> {
         assert!(self.active(), "sched_register outside a session");
         assert!(weight > 0.0, "query weight must be positive");
@@ -365,7 +364,6 @@ impl SchedState {
             weight,
             budget_bytes,
             predicted_secs,
-            class,
             admitted: false,
             finished: false,
             shed: false,
@@ -482,28 +480,13 @@ impl SchedState {
             if !Self::waiting(&self.queries[id as usize]) {
                 continue;
             }
-            let class = self.queries[id as usize].class;
-            let others = |st: &SchedState, same_class: bool| {
-                st.queries
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, q)| {
-                        *i as QueryId != id && Self::waiting(q) && (!same_class || q.class == class)
-                    })
-                    .count()
-            };
-            let mut shed = self
-                .limits
-                .total_depth
-                .is_some_and(|cap| others(self, false) >= cap);
-            if !shed {
-                if let Some(c) = class {
-                    if let Some(&Some(cap)) = self.limits.per_class_depth.get(c as usize) {
-                        shed = others(self, true) >= cap;
-                    }
-                }
-            }
-            if shed {
+            let others = self
+                .queries
+                .iter()
+                .enumerate()
+                .filter(|(i, q)| *i as QueryId != id && Self::waiting(q))
+                .count();
+            if self.limits.total_depth.is_some_and(|cap| others >= cap) {
                 let q = &mut self.queries[id as usize];
                 q.finished = true;
                 q.shed = true;
@@ -564,8 +547,14 @@ impl SchedState {
         self.queries[id as usize].shed
     }
 
-    pub(crate) fn is_designated(&self, id: QueryId) -> bool {
-        self.designated == Some(id)
+    /// Take the turn if `id` is designated; the designation then holds
+    /// until [`SchedState::complete_turn`].
+    pub(crate) fn take_turn(&mut self, id: QueryId) -> bool {
+        if self.designated != Some(id) {
+            return false;
+        }
+        self.turn_in_flight = true;
+        true
     }
 
     /// Account a completed kernel turn and pass the turn on. The clock
@@ -574,6 +563,7 @@ impl SchedState {
     /// post-kernel clock, and new arrivals may enter the system.
     pub(crate) fn complete_turn(&mut self, id: QueryId, kernel_secs: f64) {
         debug_assert_eq!(self.designated, Some(id), "turn completed out of order");
+        self.turn_in_flight = false;
         let turn_start = self.clock;
         self.queries[id as usize].busy_secs += kernel_secs;
         self.clock += kernel_secs;
@@ -633,8 +623,12 @@ impl SchedState {
         }
     }
 
-    /// Recompute the designated query from simulated state only.
+    /// Recompute the designated query from simulated state only. A no-op
+    /// while a turn is in flight: its completion redesignates.
     fn redesignate(&mut self) {
+        if self.turn_in_flight {
+            return;
+        }
         let runnable = |q: &QuerySched| q.arrived && q.admitted && !q.finished;
         let n = self.queries.len() as u32;
         self.designated = match self.policy {
@@ -808,9 +802,9 @@ mod tests {
     fn sjf_designates_by_predicted_time() {
         let mut st = SchedState::default();
         st.start(SchedPolicy::Sjf, 100, 0.0, QueueLimits::default());
-        st.register_spec(1.0, 10, 0.0, 5.0, None).unwrap();
-        st.register_spec(1.0, 10, 0.0, 1.0, None).unwrap();
-        st.register_spec(1.0, 10, 0.0, 3.0, None).unwrap();
+        st.register_spec(1.0, 10, 0.0, 5.0).unwrap();
+        st.register_spec(1.0, 10, 0.0, 1.0).unwrap();
+        st.register_spec(1.0, 10, 0.0, 3.0).unwrap();
         st.admit_pass();
         assert_eq!(st.designated, Some(1), "smallest predicted time first");
         st.complete_turn(1, 1.0);
@@ -825,8 +819,8 @@ mod tests {
     fn sjf_preempts_at_kernel_boundaries() {
         let mut st = SchedState::default();
         st.start(SchedPolicy::Sjf, 100, 0.0, QueueLimits::default());
-        st.register_spec(1.0, 10, 0.0, 10.0, None).unwrap();
-        st.register_spec(1.0, 10, 0.5, 1.0, None).unwrap();
+        st.register_spec(1.0, 10, 0.0, 10.0).unwrap();
+        st.register_spec(1.0, 10, 0.5, 1.0).unwrap();
         st.admit_pass();
         assert_eq!(st.designated, Some(0), "only job in the system");
         st.complete_turn(0, 1.0);
@@ -841,8 +835,8 @@ mod tests {
     fn sjf_admits_reservations_in_cost_order() {
         let mut st = SchedState::default();
         st.start(SchedPolicy::Sjf, 100, 0.0, QueueLimits::default());
-        st.register_spec(1.0, 80, 0.0, 9.0, None).unwrap();
-        st.register_spec(1.0, 80, 0.0, 2.0, None).unwrap();
+        st.register_spec(1.0, 80, 0.0, 9.0).unwrap();
+        st.register_spec(1.0, 80, 0.0, 2.0).unwrap();
         st.admit_pass();
         assert!(
             !st.is_admitted(0) && st.is_admitted(1),
@@ -861,9 +855,9 @@ mod tests {
         // Pure SJF would hand every turn to the freshest short job; aging
         // divides a job's rank by its time in system, so the long job's
         // effective rank decays below a fresh short job's.
-        st.register_spec(1.0, 10, 0.0, 8.0, None).unwrap(); // long
-        st.register_spec(1.0, 10, 1.0, 1.0, None).unwrap(); // short @ 1s
-        st.register_spec(1.0, 10, 8.0, 1.0, None).unwrap(); // short @ 8s
+        st.register_spec(1.0, 10, 0.0, 8.0).unwrap(); // long
+        st.register_spec(1.0, 10, 1.0, 1.0).unwrap(); // short @ 1s
+        st.register_spec(1.0, 10, 8.0, 1.0).unwrap(); // short @ 8s
         st.admit_pass();
         assert_eq!(st.designated, Some(0), "only arrival so far");
         st.complete_turn(0, 1.0);
@@ -894,7 +888,6 @@ mod tests {
             0.0,
             QueueLimits {
                 total_depth: Some(1),
-                per_class_depth: Vec::new(),
             },
         );
         // 0 takes the whole device; 1 waits (depth 1); 2 finds the waiting
@@ -918,33 +911,6 @@ mod tests {
     }
 
     #[test]
-    fn per_class_depth_sheds_only_that_class() {
-        let mut st = SchedState::default();
-        st.start(
-            SchedPolicy::Serial,
-            100,
-            0.0,
-            QueueLimits {
-                total_depth: None,
-                per_class_depth: vec![Some(0), None],
-            },
-        );
-        st.register(1.0, 100).unwrap();
-        st.on_register(0);
-        // Class 0 may never wait; class 1 may queue freely.
-        st.register_spec(1.0, 10, 0.0, 0.0, Some(0)).unwrap();
-        st.on_register(1);
-        st.register_spec(1.0, 10, 0.0, 0.0, Some(1)).unwrap();
-        st.on_register(2);
-        assert!(st.is_shed(1), "class 0 has a zero-depth queue");
-        assert!(!st.is_shed(2), "class 1 is uncapped and waits");
-        st.retire(0);
-        assert!(st.is_admitted(2));
-        st.retire(2);
-        st.finish();
-    }
-
-    #[test]
     fn zero_capacity_queue_admits_immediately_or_sheds() {
         let mut st = SchedState::default();
         st.start(
@@ -953,7 +919,6 @@ mod tests {
             0.0,
             QueueLimits {
                 total_depth: Some(0),
-                per_class_depth: Vec::new(),
             },
         );
         // Fits right away: admitted, never waited, never shed.
@@ -966,6 +931,30 @@ mod tests {
         assert!(st.is_shed(1));
         st.retire(0);
         st.finish();
+    }
+
+    #[test]
+    fn retire_during_a_turn_keeps_the_designation() {
+        let mut st = SchedState::default();
+        st.start(SchedPolicy::Sjf, 100, 0.0, QueueLimits::default());
+        st.register_spec(1.0, 60, 0.0, 5.0).unwrap(); // B
+        st.on_register(0);
+        st.register_spec(1.0, 40, 0.5, 2.0).unwrap(); // A
+        st.on_register(1);
+        assert_eq!(st.designated, Some(0));
+        st.complete_turn(0, 0.5); // B's last turn; A arrives and preempts
+        assert_eq!(st.designated, Some(1));
+        // A's worker takes its turn.
+        assert!(st.take_turn(1));
+        // D arrives mid-turn, ranks lowest, and queues behind B's budget.
+        st.register_spec(1.0, 50, 0.5, 1.0).unwrap(); // D
+        st.on_register(2);
+        assert!(!st.is_admitted(2));
+        st.retire(0); // admits D, but A's turn is in flight
+        assert!(st.is_admitted(2));
+        assert_eq!(st.designated, Some(1), "designation fixed mid-turn");
+        st.complete_turn(1, 1.0);
+        assert_eq!(st.designated, Some(2), "D takes the next turn");
     }
 
     #[test]

@@ -18,6 +18,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> perfbench tests (the benchmark builds the sim API unchanged)"
+# perfbench is a workspace of its own, so the run above skips it; a sim API
+# change that breaks the benchmark must fail here, not in the benchmark run.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> multi-query scheduler suite"
 # Already part of the full run above, but named here so a scheduler
 # regression fails loudly under its own heading.

@@ -366,6 +366,51 @@ mod multi_query {
     }
 
     #[test]
+    fn query_peak_is_the_ledger_high_water_and_the_max_node_peak() {
+        // Node brackets nest: a node's watermark reset must not hide what
+        // the query held before it, so the query's reported peak, its
+        // trace's ledger high-water and the largest node peak all agree.
+        fn max_node_peak(n: &gpu_join::engine::NodeStats) -> u64 {
+            n.children
+                .iter()
+                .map(max_node_peak)
+                .fold(n.op.peak_mem_bytes, u64::max)
+        }
+        for policy in [Policy::Serial, Policy::RoundRobin, Policy::Sjf] {
+            for threads in [1, 8] {
+                let dev = Device::new(
+                    DeviceConfig::a100()
+                        .scaled(8192.0)
+                        .with_host_threads(threads),
+                );
+                dev.enable_tracing();
+                let cat = catalog(&dev);
+                let specs = tenant_plans()
+                    .into_iter()
+                    .map(|p| QuerySpec::new(p).with_budget(BUDGET))
+                    .collect();
+                for r in engine::run_queries(&dev, &cat, specs, policy) {
+                    let out = r.result.as_ref().expect("query ran");
+                    let trace = r.trace.as_ref().expect("per-query trace present");
+                    let high_water = trace
+                        .mem_samples()
+                        .map(|m| m.high_water_bytes)
+                        .max()
+                        .unwrap_or(0);
+                    let ctx = format!("{policy:?} x{threads} q{}", r.query);
+                    assert!(r.peak_mem_bytes > 0, "{ctx}: no peak recorded");
+                    assert_eq!(r.peak_mem_bytes, high_water, "{ctx}: vs ledger");
+                    assert_eq!(
+                        r.peak_mem_bytes,
+                        max_node_peak(&out.stats),
+                        "{ctx}: vs node peaks"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn metrics_totals_agree_with_the_tagged_base_trace() {
         // Run the session with the metrics recorder on as well: the
         // cumulative totals and the per-tenant dual-accounted counters
@@ -382,7 +427,10 @@ mod multi_query {
         let base = dev.take_trace().expect("tracing was enabled");
         let snap = dev.metrics_snapshot().expect("metrics recorder is on");
 
-        assert_eq!(snap.totals.launches, base.kernels().count() as u64);
+        assert_eq!(
+            snap.totals.counters.kernel_launches,
+            base.kernels().count() as u64
+        );
         let trace_ns: u64 = base
             .kernels()
             .map(|k| gpu_join::sim::secs_to_ticks(k.dur))
