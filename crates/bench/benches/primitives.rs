@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use primitives::{gather, radix_partition, sort_pairs};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sim::{Device, DeviceConfig};
+use sim::Device;
 
 const N: usize = 1 << 18;
 
@@ -61,36 +61,9 @@ fn bench_gather(c: &mut Criterion) {
     g.finish();
 }
 
-/// Host-side scaling of the warp-traffic simulation itself: the same 2^24
-/// unclustered gather charged with `host_threads = 1` (sequential reference)
-/// vs every available core. Simulated counters and times are bit-identical
-/// across the two; only wall-clock changes. On a multi-core host the
-/// N-thread variant should be >= 2x faster.
-fn bench_gather_host_threads(c: &mut Criterion) {
-    const BIG: usize = 1 << 24;
-    let all_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut shuffled: Vec<u32> = (0..BIG as u32).collect();
-    shuffled.shuffle(&mut rand::rngs::StdRng::seed_from_u64(1));
-    let mut g = c.benchmark_group("gather_2e24_host_threads");
-    g.throughput(Throughput::Elements(BIG as u64));
-    // On a single-core host both entries would be `1`; bench it once.
-    let variants: &[usize] = if all_cores > 1 { &[1, all_cores] } else { &[1] };
-    for &threads in variants {
-        let dev = Device::new(DeviceConfig::a100().with_host_threads(threads));
-        let src = dev.upload((0..BIG as i32).collect::<Vec<_>>(), "b.src");
-        let map = dev.upload(shuffled.clone(), "b.umap");
-        g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
-            b.iter(|| gather(&dev, &src, &map));
-        });
-    }
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_radix_partition, bench_sort_pairs, bench_gather, bench_gather_host_threads
+    targets = bench_radix_partition, bench_sort_pairs, bench_gather
 }
 criterion_main!(benches);

@@ -21,9 +21,9 @@
 //!   rejected on the way.
 //!
 //! Everything is a pure function of the recorded [`NodeStats`] and the
-//! [`DeviceConfig`], so rendered reports are byte-identical across
-//! `host_threads` settings and scheduler policies — the invariant
-//! `tests/explain_invariants.rs` locks.
+//! [`DeviceConfig`], so rendered reports are byte-identical across reruns
+//! and scheduler policies — the invariant `tests/explain_invariants.rs`
+//! locks.
 
 use crate::NodeStats;
 use heuristics::Provenance;

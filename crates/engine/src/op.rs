@@ -131,87 +131,42 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// Resolve a join sampling site under the current planning mode. The
-    /// `sample` closure must not touch `self.planning` (it launches
-    /// kernels; the borrow is released before it runs).
-    fn join_sample(
+    /// Resolve a sampling site under the current planning mode. `wrap` and
+    /// `unwrap` convert the site's observation to and from its
+    /// [`SiteSample`] variant. The `sample` closure must not touch
+    /// `self.planning` (it launches kernels; the borrow is released before
+    /// it runs).
+    fn site_sample<T: Copy>(
         &self,
-        sample: impl FnOnce() -> heuristics::EstimatedStats,
-    ) -> heuristics::EstimatedStats {
-        enum Action {
-            Live,
-            Planned,
-            Serve(heuristics::EstimatedStats),
-        }
-        let action = {
-            let mut mode = self.planning.borrow_mut();
-            match &mut *mode {
-                PlanningMode::Off => Action::Live,
-                PlanningMode::Record(_) => Action::Planned,
-                PlanningMode::Replay { samples, cursor } => match samples.get(*cursor) {
-                    Some(SiteSample::Join(s)) => {
-                        let s = *s;
+        wrap: fn(T) -> SiteSample,
+        unwrap: fn(&SiteSample) -> Option<T>,
+        sample: impl FnOnce() -> T,
+    ) -> T {
+        let planned = match &mut *self.planning.borrow_mut() {
+            PlanningMode::Off => false,
+            PlanningMode::Record(_) => true,
+            PlanningMode::Replay { samples, cursor } => {
+                match samples.get(*cursor).and_then(unwrap) {
+                    Some(s) => {
                         *cursor += 1;
-                        Action::Serve(s)
+                        return s;
                     }
                     // Shape mismatch: the cached trace does not line up
                     // with this plan's sites. Fall back to live sampling
                     // in the planning scope so the query-private clock
                     // still matches the recorded run.
-                    _ => Action::Planned,
-                },
+                    None => true,
+                }
             }
         };
-        match action {
-            Action::Live => sample(),
-            Action::Serve(s) => s,
-            Action::Planned => {
-                let s = self.dev.with_planning(sample);
-                if let PlanningMode::Record(samples) = &mut *self.planning.borrow_mut() {
-                    samples.push(SiteSample::Join(s));
-                }
-                s
-            }
+        if !planned {
+            return sample();
         }
-    }
-
-    /// Resolve a group-by sampling site under the current planning mode.
-    /// Same contract as [`Self::join_sample`].
-    fn group_sample(
-        &self,
-        sample: impl FnOnce() -> heuristics::EstimatedGroupStats,
-    ) -> heuristics::EstimatedGroupStats {
-        enum Action {
-            Live,
-            Planned,
-            Serve(heuristics::EstimatedGroupStats),
+        let s = self.dev.with_planning(sample);
+        if let PlanningMode::Record(samples) = &mut *self.planning.borrow_mut() {
+            samples.push(wrap(s));
         }
-        let action = {
-            let mut mode = self.planning.borrow_mut();
-            match &mut *mode {
-                PlanningMode::Off => Action::Live,
-                PlanningMode::Record(_) => Action::Planned,
-                PlanningMode::Replay { samples, cursor } => match samples.get(*cursor) {
-                    Some(SiteSample::Group(s)) => {
-                        let s = *s;
-                        *cursor += 1;
-                        Action::Serve(s)
-                    }
-                    _ => Action::Planned,
-                },
-            }
-        };
-        match action {
-            Action::Live => sample(),
-            Action::Serve(s) => s,
-            Action::Planned => {
-                let s = self.dev.with_planning(sample);
-                if let PlanningMode::Record(samples) = &mut *self.planning.borrow_mut() {
-                    samples.push(SiteSample::Group(s));
-                }
-                s
-            }
-        }
+        s
     }
 }
 
@@ -942,7 +897,14 @@ impl PhysicalOperator for JoinOp {
                 // profile is built from the *logical* side shapes, so ticket
                 // inputs pick the same algorithm their materialized twins
                 // would — fusion changes the cost, never the plan.
-                let stats = ctx.join_sample(|| sample_stats(ctx.dev, l_rel, r_rel, 512));
+                let stats = ctx.site_sample(
+                    SiteSample::Join,
+                    |s| match s {
+                        SiteSample::Join(j) => Some(*j),
+                        SiteSample::Group(_) => None,
+                    },
+                    || sample_stats(ctx.dev, l_rel, r_rel, 512),
+                );
                 let profile = profile_from_stats(
                     &stats,
                     &l_prep.shape,
@@ -1373,7 +1335,14 @@ impl PhysicalOperator for AggregateOp {
             None => {
                 // Sample the grouping key for a distinct-count and skew
                 // estimate, then let the aggregation decision tree pick.
-                let sampled = ctx.group_sample(|| sample_group_stats(ctx.dev, &key, 512));
+                let sampled = ctx.site_sample(
+                    SiteSample::Group,
+                    |s| match s {
+                        SiteSample::Group(g) => Some(*g),
+                        SiteSample::Join(_) => None,
+                    },
+                    || sample_group_stats(ctx.dev, &key, 512),
+                );
                 let profile = AggProfile {
                     rows,
                     est_groups: sampled.est_groups,

@@ -51,19 +51,12 @@ pub struct DeviceConfig {
     /// Baseline throughput cost of an uncontended global atomic, in warp
     /// instructions charged per atomic.
     pub atomic_instr_cost: f64,
-    /// Host threads used to *simulate* warp traffic (this is a property of
-    /// the machine running the simulator, not of the modeled GPU). `1`
-    /// selects the sequential reference path; any other value produces
-    /// bit-identical counters and times via the set-sharded L2 (see
-    /// `kernel.rs`). Defaults to the host's available parallelism.
+    /// Host threads for simulating warp traffic. Inert: warp traffic is
+    /// charged on the calling thread and this field has no effect on
+    /// results or host time. It is kept only so existing configurations
+    /// still build. Always `1` unless set by
+    /// [`DeviceConfig::with_host_threads`].
     pub host_threads: usize,
-}
-
-/// Default for [`DeviceConfig::host_threads`]: every host core.
-fn default_host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 impl DeviceConfig {
@@ -86,7 +79,7 @@ impl DeviceConfig {
             uncoalesced_penalty: 0.35,
             atomic_serialize_cycles: 2.0,
             atomic_instr_cost: 2.0,
-            host_threads: default_host_threads(),
+            host_threads: 1,
         }
     }
 
@@ -112,7 +105,7 @@ impl DeviceConfig {
             uncoalesced_penalty: 0.35,
             atomic_serialize_cycles: 2.0,
             atomic_instr_cost: 2.0,
-            host_threads: default_host_threads(),
+            host_threads: 1,
         }
     }
 
@@ -138,7 +131,7 @@ impl DeviceConfig {
             uncoalesced_penalty: 0.35,
             atomic_serialize_cycles: 2.0,
             atomic_instr_cost: 2.0,
-            host_threads: default_host_threads(),
+            host_threads: 1,
         }
     }
 
@@ -162,9 +155,8 @@ impl DeviceConfig {
         self
     }
 
-    /// Set the number of host threads the simulator uses for warp-traffic
-    /// accounting. `1` is the sequential reference path; results are
-    /// bit-identical for every value.
+    /// Set [`DeviceConfig::host_threads`]. The field is inert, so this
+    /// changes nothing the simulator computes.
     pub fn with_host_threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "host_threads must be at least 1");
         self.host_threads = threads;
@@ -234,7 +226,7 @@ mod tests {
 
     #[test]
     fn host_threads_defaults_and_overrides() {
-        assert!(DeviceConfig::a100().host_threads >= 1);
+        assert_eq!(DeviceConfig::a100().host_threads, 1);
         let cfg = DeviceConfig::rtx3090().with_host_threads(4);
         assert_eq!(cfg.host_threads, 4);
         // Scaling a device leaves the host-side knob alone.

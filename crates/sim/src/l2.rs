@@ -49,65 +49,6 @@ impl L2Cache {
     pub fn clear(&mut self) {
         self.tags.fill(u64::MAX);
     }
-
-    /// The set index `sector` maps to.
-    #[inline]
-    pub fn set_of(&self, sector: u64) -> usize {
-        (sector & self.mask) as usize
-    }
-
-    /// The set-index mask, for callers that need to route sectors to sets
-    /// while the tag array is mutably borrowed by [`L2Cache::shards`].
-    #[inline]
-    pub(crate) fn set_mask(&self) -> u64 {
-        self.mask
-    }
-
-    /// Split the cache into at most `n` shards, each owning a contiguous,
-    /// disjoint range of sets. Returns the per-shard set count (so callers
-    /// can route a set index to its shard as `set / chunk`) and the shards.
-    ///
-    /// Because the cache is direct-mapped, an access only ever reads or
-    /// writes its own set: probing the shards concurrently produces the
-    /// same hit/miss outcomes as the sequential [`L2Cache::access`] stream,
-    /// provided each shard sees its accesses in the original relative order.
-    pub(crate) fn shards(&mut self, n: usize) -> (usize, Vec<L2Shard<'_>>) {
-        let chunk = self.tags.len().div_ceil(n.max(1)).max(1);
-        let mut shards = Vec::with_capacity(n);
-        let mut base = 0;
-        let mut rest: &mut [u64] = &mut self.tags;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            shards.push(L2Shard { tags: head, base });
-            base += take;
-            rest = tail;
-        }
-        (chunk, shards)
-    }
-}
-
-/// A contiguous range of sets carved out of an [`L2Cache`] for one probe
-/// thread; see [`L2Cache::shards`].
-pub(crate) struct L2Shard<'a> {
-    tags: &'a mut [u64],
-    base: usize,
-}
-
-impl L2Shard<'_> {
-    /// Access `sector`, whose set index `set` must lie in this shard's
-    /// range; returns `true` on hit, installing on miss — identical
-    /// semantics to [`L2Cache::access`].
-    #[inline]
-    pub(crate) fn access(&mut self, sector: u64, set: usize) -> bool {
-        let tag = &mut self.tags[set - self.base];
-        if *tag == sector {
-            true
-        } else {
-            *tag = sector;
-            false
-        }
-    }
 }
 
 #[cfg(test)]
@@ -139,39 +80,6 @@ mod tests {
         assert!(!c.access(7));
         assert!(!c.access(7 + sets)); // maps to the same set
         assert!(!c.access(7)); // was evicted
-    }
-
-    #[test]
-    fn sharded_probing_matches_sequential() {
-        // Replay the same access stream through a sequential cache and a
-        // sharded one; every outcome must agree.
-        let stream: Vec<u64> = (0..4096u64).map(|i| (i * 2654435761) % 1500).collect();
-        let mut seq = L2Cache::new(1 << 12); // 128 sets
-        let expected: Vec<bool> = stream.iter().map(|&s| seq.access(s)).collect();
-
-        let mut sharded = L2Cache::new(1 << 12);
-        let mut got = vec![false; stream.len()];
-        let (chunk, mut shards) = sharded.shards(4);
-        // Per shard, accesses keep their original relative order.
-        for (i, &s) in stream.iter().enumerate() {
-            let set = seq.set_of(s); // same geometry as `sharded`
-            got[i] = shards[set / chunk].access(s, set);
-        }
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn shards_cover_all_sets_once() {
-        let mut c = L2Cache::new(1 << 14); // 512 sets
-        for n in [1, 3, 4, 7, 512, 600] {
-            let (chunk, shards) = c.shards(n);
-            let covered: usize = shards.iter().map(|s| s.tags.len()).sum();
-            assert_eq!(covered, 512, "n={n}");
-            assert!(shards.len() <= n.max(1));
-            for (i, s) in shards.iter().enumerate() {
-                assert_eq!(s.base, i * chunk);
-            }
-        }
     }
 
     #[test]

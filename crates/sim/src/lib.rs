@@ -28,15 +28,14 @@
 //! * **Memory ledger** — every intermediate allocation flows through
 //!   [`DeviceBuffer`], giving the peak-usage numbers of Table 5.
 //!
-//! ## Parallel host execution
+//! ## Host execution
 //!
-//! Warp-traffic accounting — the hot loop of every experiment — runs on
-//! [`DeviceConfig::host_threads`] host cores (default: all of them). The
-//! parallel path shards the direct-mapped L2 by disjoint set ranges and
-//! replays each set's accesses in their original warp order, so counters,
-//! hit/miss outcomes and simulated times are **bit-identical** to the
-//! `host_threads = 1` sequential reference. See `DESIGN.md` for the full
-//! determinism argument.
+//! Warp-traffic accounting — the hot loop of every experiment — runs in one
+//! loop on the thread that charges the kernel, under the device state lock;
+//! fanning it out across host cores lost on every benchmark workload, so
+//! [`DeviceConfig::host_threads`] is an inert field. Simulated outputs are a
+//! pure function of the inputs: rerunning a configuration reproduces every
+//! byte.
 //!
 //! ## Multi-query scheduling
 //!
@@ -238,8 +237,10 @@ pub(crate) struct DeviceInner {
 
 impl DeviceInner {
     pub(crate) fn sched_lock(&self) -> std::sync::MutexGuard<'_, sched::SchedState> {
-        // Panics never unwind while holding this lock (the budget-OOM panic
-        // fires under the state lock), but be robust to poisoning anyway.
+        // The budget-OOM panic never unwinds through this lock: it is
+        // raised by `DeviceBuffer::from_vec`, which holds only the state
+        // lock and drops it first. A failed assertion inside `SchedState`
+        // can still poison it, so recover the guard anyway.
         self.sched
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -600,33 +601,18 @@ impl Device {
         self.finish_register(qid, budget_bytes)
     }
 
-    /// Register a query that *arrives in the future*: open-loop load
-    /// generation. The query behaves exactly like a [`Device::sched_register`]
-    /// query except that admission and scheduling ignore it until the
-    /// simulated clock reaches `arrival`; if the device drains idle while
-    /// only future arrivals remain, the clock jumps forward to the earliest
-    /// one (an open-loop service sees real inter-arrival gaps, not a
-    /// back-to-back batch). Register arrivals in non-decreasing time order —
-    /// admission is FIFO in id order, and id order must equal arrival order
-    /// for that to mean FIFO-by-arrival.
-    pub fn sched_register_at(
-        &self,
-        weight: f64,
-        budget_bytes: u64,
-        arrival: SimTime,
-    ) -> Result<Device, AdmissionError> {
-        assert!(self.query.is_none(), "sched_register_at on a query handle");
-        let qid = self
-            .inner
-            .sched_lock()
-            .register_at(weight, budget_bytes, arrival.secs())?;
-        self.finish_register(qid, budget_bytes)
-    }
-
     /// Register a query with its full serving spec: an optional future
     /// arrival time (`None` = arrives now), the cost model's predicted
-    /// execution time (the ranking key of the shortest-job policies). Like
-    /// the other registrations, call from one thread in arrival order.
+    /// execution time (the ranking key of the shortest-job policies).
+    ///
+    /// A future arrival is open-loop load generation: the query behaves
+    /// exactly like a [`Device::sched_register`] query except that
+    /// admission and scheduling ignore it until the simulated clock reaches
+    /// `arrival`; if the device drains idle while only future arrivals
+    /// remain, the clock jumps forward to the earliest one. Like
+    /// `sched_register`, call from one thread in arrival order — admission
+    /// is FIFO in id order, and id order must equal arrival order for that
+    /// to mean FIFO-by-arrival.
     pub fn sched_register_spec(
         &self,
         weight: f64,

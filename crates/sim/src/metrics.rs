@@ -10,8 +10,9 @@
 //!
 //! ## Determinism rules
 //!
-//! Everything here must be **bit-identical across `host_threads` and
-//! re-runs**, which dictates three design rules:
+//! Everything here must be **bit-identical across re-runs**, whatever
+//! order the query worker threads record in, which dictates three design
+//! rules:
 //!
 //! 1. **Integer instruments.** Histograms store `u64` tick counts in `u64`
 //!    buckets and an integer sum; counters are `u64`. Worker threads may

@@ -318,17 +318,6 @@ impl SchedState {
         self.register_spec(weight, budget_bytes, clock, 0.0)
     }
 
-    /// Register a query that arrives at `arrival_secs` on the simulated
-    /// clock (possibly in the future: open-loop load generation).
-    pub(crate) fn register_at(
-        &mut self,
-        weight: f64,
-        budget_bytes: u64,
-        arrival_secs: f64,
-    ) -> Result<QueryId, AdmissionError> {
-        self.register_spec(weight, budget_bytes, arrival_secs, 0.0)
-    }
-
     /// Register a query with its full serving spec: arrival time (possibly
     /// in the future) and predicted execution time (the shortest-job
     /// ranking key). Until the
@@ -747,7 +736,7 @@ mod tests {
     fn future_arrivals_are_invisible_until_the_clock_reaches_them() {
         let mut st = SchedState::default();
         st.start(SchedPolicy::Serial, 100, 0.0, QueueLimits::default());
-        st.register_at(1.0, 10, 5.0).unwrap();
+        st.register_spec(1.0, 10, 5.0, 0.0).unwrap();
         st.admit_pass();
         assert!(!st.is_admitted(0), "query 0 has not arrived yet");
         assert_eq!(st.designated, None);
@@ -771,8 +760,8 @@ mod tests {
     fn kernel_turns_advance_the_clock_mirror_and_admit_arrivals() {
         let mut st = SchedState::default();
         st.start(SchedPolicy::Serial, 100, 0.0, QueueLimits::default());
-        st.register_at(1.0, 10, 0.0).unwrap();
-        st.register_at(1.0, 10, 2.5).unwrap();
+        st.register_spec(1.0, 10, 0.0, 0.0).unwrap();
+        st.register_spec(1.0, 10, 2.5, 0.0).unwrap();
         st.admit_pass();
         assert_eq!(st.designated, Some(0));
         assert!(!st.is_admitted(1));

@@ -33,7 +33,7 @@ cargo test -q -p gpu-join \
 echo "==> serving-control property suite (admission, queueing, plan cache)"
 # The scheduling-policy property suite: work conservation, shed-only-when-
 # full, SJF ordering, plan-cache byte-identity, export byte-identity across
-# host threads under every policy.
+# reruns under every policy.
 cargo test -q -p gpu-join --test admission_invariants
 
 echo "==> bench smoke-run (run_all --scale 14)"

