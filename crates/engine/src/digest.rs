@@ -5,7 +5,7 @@
 //! [`slow_queries`] is a *pure* function of its three inputs — it runs no
 //! kernels, reads no clocks, and allocates nothing on the device — so the
 //! digest it produces is byte-identical whenever its inputs are, which the
-//! lifecycle invariant suite holds across host-thread counts and policies.
+//! lifecycle invariant suite holds across reruns and policies.
 //!
 //! A query is *slow* against its own SLO target when the serving session
 //! configured one ([`crate::scheduler::ServingConfig::with_slo`]), and
@@ -36,8 +36,8 @@ pub struct StageAttribution {
     pub planning_ns: u64,
     /// Time the query actually held the device (its exec slices).
     pub exec_ns: u64,
-    /// Admitted-but-not-running time: gaps where co-tenants held the
-    /// device turn gate.
+    /// Admitted-but-not-running time: gaps where the scheduler gave
+    /// co-tenants the device.
     pub interference_ns: u64,
 }
 

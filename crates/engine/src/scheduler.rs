@@ -18,16 +18,16 @@
 //!    that still exceeds the budget unwinds with a typed `sim::BudgetError`
 //!    which is caught here and converted to
 //!    [`EngineError::BudgetExceeded`] — co-tenants keep running.
-//! 3. **Deterministic interleaving** — kernel launches pass the session's
-//!    turn gate ([`Policy::RoundRobin`], [`Policy::WeightedFair`],
-//!    [`Policy::Sjf`] or [`Policy::SjfAging`]), whose designation is a
-//!    pure function of simulated state, and completion times come from
-//!    the turn-gated completion stamp (the scheduler mirror's clock at
-//!    the query's last kernel), never from a racy retire-time clock read.
-//!    Per-query outputs, `OpStats` and traces are therefore
-//!    *byte-identical* to running the same specs under
-//!    [`Policy::Serial`], and full metrics exports are byte-identical
-//!    across host threads under *every* policy — the properties
+//! 3. **Replay of a single kernel stream** — everything runs on the
+//!    calling thread. A query executes the moment it is admitted, charging
+//!    only its own virtual state; the device then replays the queries'
+//!    kernels one per turn in the order the policy
+//!    ([`Policy::RoundRobin`], [`Policy::WeightedFair`], [`Policy::Sjf`] or
+//!    [`Policy::SjfAging`]) designates from simulated state alone, and
+//!    retires each query right after its last kernel. Per-query outputs,
+//!    `OpStats` and traces are therefore *byte-identical* to running the
+//!    same specs under [`Policy::Serial`], and full metrics exports are
+//!    byte-identical across reruns under *every* policy — the properties
 //!    `tests/scheduler_equivalence.rs` and `tests/admission_invariants.rs`
 //!    prove.
 //! 4. **Admission control** — [`run_open_loop_with`] takes a
@@ -61,7 +61,7 @@
 use crate::explain::QueryExplain;
 use crate::{cost, execute, Catalog, EngineError, NodeStats, Plan, QueryOutput};
 use serde::Serialize;
-use sim::{AdmitOutcome, Device, OpStats, QueueLimits, SimTime, Trace};
+use sim::{Device, OpStats, QueueLimits, SimTime, Trace};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// The scheduling policies a session can run under (re-exported from
@@ -277,10 +277,10 @@ impl QueryReport {
 ///
 /// Call on the base (non-query) handle of the device holding `catalog`.
 /// Each spec gets a budget reservation (equal shares of the free capacity
-/// by default) and runs `execute(qdev, catalog, plan)` on its own thread
-/// behind the deterministic kernel turn gate — host threading changes
-/// nothing observable. A query that exceeds its budget fails alone, with
-/// co-tenants' results, stats and ledgers untouched.
+/// by default) and runs `execute(qdev, catalog, plan)` when admitted; its
+/// kernels reach the shared device in policy order. A query that exceeds
+/// its budget fails alone, with co-tenants' results, stats and ledgers
+/// untouched.
 ///
 /// With [`Policy::Serial`] the same machinery runs queries to completion in
 /// spec order — the oracle the concurrent policies are byte-compared
@@ -401,12 +401,12 @@ fn run_session(
         return Vec::new();
     }
     let was_tracing = dev.tracing_enabled();
-    // Clock at session start, read before the scheduler mirror exists:
-    // the arrival timestamp lifecycle tracing assigns to queries rejected
-    // before registration (they never get a device-side arrival stamp).
+    // Clock at session start: the arrival timestamp lifecycle tracing
+    // assigns to queries rejected before registration (they never get a
+    // device-side arrival stamp).
     let session_start = dev.elapsed();
 
-    dev.sched_start_with(
+    dev.sched_start(
         policy,
         QueueLimits {
             total_depth: serving.total_depth,
@@ -417,11 +417,11 @@ fn run_session(
         .saturating_sub(dev.mem_report().current_bytes);
     let fallback_budget = default_budget(free);
 
-    // Register every spec on this thread, in spec order: device query ids
-    // are assigned in call order, and the id order is what the policies'
-    // determinism rests on.
+    // Register every spec in spec order: device query ids are assigned in
+    // call order, and the id order is what the policies' determinism
+    // rests on.
     enum Registered {
-        Query { qdev: Device, plan: Plan },
+        Query(Device),
         Rejected { budget: u64, err: EngineError },
     }
     let registered: Vec<Registered> = entries
@@ -447,29 +447,23 @@ fn run_session(
                     },
                 };
             }
+            // The tenant class and its SLO target label the retire-time
+            // lifecycle rows (and the burn-rate series).
+            let class_name = entry.class.as_deref().unwrap_or("default");
             let handle = dev.sched_register_spec(
                 spec.weight,
                 budget,
                 entry.arrival,
                 SimTime::from_secs(predicted.secs),
+                class_name,
+                serving.slo_for(class_name).map(SimTime::from_secs),
             );
             match handle {
                 Ok(qdev) => {
                     if was_tracing {
                         qdev.enable_tracing();
                     }
-                    // Label the scheduler-side record with the tenant
-                    // class and its SLO target so retire-time lifecycle
-                    // rows (and the burn-rate series) carry them.
-                    let class_name = entry.class.as_deref().unwrap_or("default");
-                    qdev.sched_label(
-                        class_name,
-                        serving.slo_for(class_name).map(SimTime::from_secs),
-                    );
-                    Registered::Query {
-                        qdev,
-                        plan: spec.plan.clone(),
-                    }
+                    Registered::Query(qdev)
                 }
                 Err(e) => Registered::Rejected {
                     budget,
@@ -482,58 +476,30 @@ fn run_session(
         })
         .collect();
 
-    // One worker thread per admitted query. The threads only race on the
-    // turn gate, whose decisions are functions of simulated state — so the
-    // per-query outcome is independent of host scheduling.
-    type Outcome = Result<Result<QueryOutput, EngineError>, Box<dyn std::any::Any + Send>>;
-    let outcomes: Vec<Option<Outcome>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = registered
-            .iter()
-            .map(|reg| match reg {
-                Registered::Rejected { .. } => None,
-                Registered::Query { qdev, plan } => Some(scope.spawn(move || {
-                    if let AdmitOutcome::Shed = qdev.sched_admit() {
-                        // Shed at the queue: never admitted, never run,
-                        // never retired (the device already finalized it
-                        // with completion = arrival). Co-tenants see
-                        // nothing.
-                        let qid = qdev.query_id().expect("query handle");
-                        return Ok(Err(EngineError::QueueShed { query: qid }));
-                    }
-                    let result = catch_unwind(AssertUnwindSafe(|| execute(qdev, catalog, plan)));
-                    // Retire unconditionally — success, engine error or
-                    // unwind — so the reservation is released, queued
-                    // queries admit, and the turn gate never waits on a
-                    // dead query.
-                    qdev.sched_retire();
-                    match result {
-                        Ok(res) => Ok(res),
-                        Err(payload) => match payload.downcast::<sim::BudgetError>() {
-                            Ok(b) => Ok(Err(EngineError::BudgetExceeded {
-                                query: b.query,
-                                budget_bytes: b.budget_bytes,
-                                requested_bytes: b.requested_bytes,
-                                in_use_bytes: b.in_use_bytes,
-                                label: b.label.clone(),
-                            })),
-                            Err(other) => Err(other),
-                        },
-                    }
-                })),
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.map(|h| h.join().expect("scheduler worker panicked outside execute")))
-            .collect()
+    // The plan of each device query id (ids are dense over the registered
+    // specs), and its execution outcome once the replay admits it. A
+    // budget overrun unwinds out of `execute` and is caught here, so the
+    // query's logged kernels still replay and it still retires.
+    let plans: Vec<&Plan> = registered
+        .iter()
+        .zip(&entries)
+        .filter_map(|(reg, entry)| matches!(reg, Registered::Query(_)).then_some(&entry.spec.plan))
+        .collect();
+    let mut outcomes: Vec<Option<std::thread::Result<Result<QueryOutput, EngineError>>>> =
+        plans.iter().map(|_| None).collect();
+    dev.sched_run(|qdev| {
+        let qid = qdev.query_id().expect("query handle") as usize;
+        let plan = plans[qid];
+        outcomes[qid] = Some(catch_unwind(AssertUnwindSafe(|| {
+            execute(qdev, catalog, plan)
+        })));
     });
 
     let reports: Vec<QueryReport> = registered
         .into_iter()
-        .zip(outcomes)
         .zip(&entries)
         .enumerate()
-        .map(|(i, ((reg, outcome), entry))| match reg {
+        .map(|(i, (reg, entry))| match reg {
             Registered::Rejected { budget, err } => {
                 if was_tracing {
                     // Rejected before registration: no device query id
@@ -559,15 +525,27 @@ fn run_session(
                     explain: None,
                 }
             }
-            Registered::Query { qdev, .. } => {
-                let result = match outcome.expect("admitted query has an outcome") {
-                    Ok(res) => res,
-                    // A non-budget panic is a simulator invariant violation,
-                    // not a tenant failure: co-tenants have already retired,
-                    // so propagate it.
-                    Err(payload) => resume_unwind(payload),
-                };
+            Registered::Query(qdev) => {
                 let qid = qdev.query_id().expect("query handle");
+                let result = match outcomes[qid as usize].take() {
+                    // Shed at the queue: never admitted, never run, never
+                    // retired (the device finalized it with completion =
+                    // arrival). Co-tenants see nothing.
+                    None => Err(EngineError::QueueShed { query: qid }),
+                    Some(Ok(res)) => res,
+                    Some(Err(payload)) => match payload.downcast::<sim::BudgetError>() {
+                        Ok(b) => Err(EngineError::BudgetExceeded {
+                            query: b.query,
+                            budget_bytes: b.budget_bytes,
+                            requested_bytes: b.requested_bytes,
+                            in_use_bytes: b.in_use_bytes,
+                            label: b.label.clone(),
+                        }),
+                        // Any other panic is a simulator invariant
+                        // violation, not a tenant failure: propagate it.
+                        Err(other) => resume_unwind(other),
+                    },
+                };
                 let sched = dev.sched_query_stats(qid);
                 if was_tracing {
                     emit_lifecycle(dev, qid, &sched, &result);
@@ -600,14 +578,13 @@ fn run_session(
             }
         })
         .collect();
-    dev.sched_finish();
     record_latency_metrics(dev, &entries, &reports, serving);
     reports
 }
 
-/// Emit one finished query's lifecycle spans into the base trace, on the
-/// driver thread in spec order (so trace bytes are host-schedule
-/// independent).
+/// Emit one finished query's lifecycle spans into the base trace, in spec
+/// order after the session (so trace bytes do not depend on the order
+/// queries retired in).
 ///
 /// The span set *tiles* `[arrival, completion]` exactly:
 /// `queued` covers `[arrival, admitted]`, the recorded exec slices cover
@@ -635,9 +612,8 @@ fn emit_lifecycle(
     let completion = SimTime::from_secs(sched.completion_secs);
     dev.trace_lifecycle(q, Stage::Queued, arrival, admitted);
     dev.trace_lifecycle(q, Stage::Admitted, admitted, admitted);
-    // Slice boundaries are exact mirrors of the scheduler clock, so gap
-    // detection compares the same f64 values the stamps hold — equality
-    // is exact, not approximate.
+    // Slice boundaries and the admitted/completion stamps are the same
+    // device-clock f64 values, so gap detection is exact, not approximate.
     let mut prev = sched.admitted_secs;
     for (start, end) in dev.sched_query_slices(qid) {
         if start > prev {
@@ -663,9 +639,9 @@ fn emit_lifecycle(
 }
 
 /// Record per-class service-level latency observations into the device's
-/// metrics registry (no-op when metrics are disabled). Runs on the driver
-/// thread, in spec order, *after* the session — recording order and values
-/// are both deterministic, so exports stay byte-identical across runs.
+/// metrics registry (no-op when metrics are disabled). Runs in spec order,
+/// *after* the session — recording order and values are both
+/// deterministic, so exports stay byte-identical across runs.
 fn record_latency_metrics(
     dev: &Device,
     entries: &[SessionEntry],

@@ -14,7 +14,7 @@
 //! The calibration is validated against Table 4 of the paper in
 //! `tests/calibration.rs` of the `primitives` crate.
 
-use crate::trace::{KernelEvent, TraceEvent};
+use crate::trace::KernelEvent;
 use crate::{Counters, Device, SimTime, SECTOR_BYTES, WARP_SIZE};
 
 /// Builder describing one kernel launch. Obtain via [`Device::kernel`],
@@ -168,11 +168,12 @@ impl<'d> KernelBuilder<'d> {
     /// Launch: convert the accounted work into simulated time, advance the
     /// device clock and counters, and return the kernel's duration.
     ///
-    /// On a query handle the launch first passes the scheduling turn gate
-    /// (blocking until the session's policy designates this query), then
-    /// charges the work twice: to the query's private counters, clock and
-    /// trace, and to the device-wide aggregates (whose trace tags the event
-    /// with the query id, yielding the multi-tenant timeline).
+    /// On a query handle the launch charges the query's private counters,
+    /// clock and trace. During a scheduling session it also appends the
+    /// kernel's record to the query's log, which [`Device::sched_run`]
+    /// folds into the device-wide aggregates in policy order (the base
+    /// trace tags the event with the query id, yielding the multi-tenant
+    /// timeline); outside a session it folds the record in at once.
     pub fn launch(self) -> SimTime {
         let cfg = &self.dev.inner.config;
         let t_comp = self.c.warp_instructions as f64 / cfg.issue_rate();
@@ -194,38 +195,31 @@ impl<'d> KernelBuilder<'d> {
         }
 
         // The one per-launch record every view — counters, trace, metrics
-        // — is folded from.
-        let delta = Counters {
-            kernel_launches: 1,
-            cycles: t * cfg.clock_hz,
-            ..self.c
+        // — is folded from; `start` is stamped per scope as it is charged.
+        let k = KernelEvent {
+            name: self.name,
+            start: 0.0,
+            dur: t,
+            query: self.dev.query,
+            counters: Counters {
+                kernel_launches: 1,
+                cycles: t * cfg.clock_hz,
+                ..self.c
+            },
         };
-        let (name, query) = (self.name, self.dev.query);
-        let gated = query.is_some_and(|qid| self.dev.acquire_turn(qid));
-
         let mut st = self.dev.inner.state.lock();
-        for scope in std::iter::once(None).chain(query.map(Some)) {
-            let s = st.scope(scope);
-            let start = s.clock;
-            s.clock += t;
-            s.counters += &delta;
-            st.record(scope, |tr| {
-                tr.push(TraceEvent::Kernel(KernelEvent {
-                    name,
-                    start,
-                    dur: t,
-                    query,
-                    counters: delta.clone(),
-                }))
-            });
-        }
-        let clock_after = st.base.clock;
-        if let Some(m) = st.metrics.as_deref_mut() {
-            m.on_kernel(clock_after, query, t, &delta);
-        }
-        drop(st);
-        if gated {
-            self.dev.complete_turn(query.unwrap(), t);
+        match k.query {
+            Some(q) if st.sched.active() => {
+                st.charge(Some(q), &k);
+                st.queries[q as usize].log.push_back(k);
+            }
+            Some(q) => {
+                st.charge(Some(q), &k);
+                st.fold(&k);
+            }
+            None => {
+                st.fold(&k);
+            }
         }
         SimTime::from_secs(t)
     }

@@ -41,12 +41,14 @@
 //!
 //! A device can host several concurrent queries (see [`sched`]). The base
 //! handle starts a session with [`Device::sched_start`] and registers each
-//! query with [`Device::sched_register`], which reserves the query a memory
-//! budget and returns a *query handle* — a `Device` whose counters, clock,
-//! L2 image, memory ledger and trace are private to that query. Kernel
-//! launches through a query handle pass a deterministic turn gate, so the
-//! interleaving (and every per-query byte of state) is a pure function of
-//! simulated time — concurrent execution is bit-identical to serial.
+//! query with [`Device::sched_register_spec`], which reserves the query a
+//! memory budget and returns a *query handle* — a `Device` whose counters,
+//! clock, L2 image, memory ledger and trace are private to that query.
+//! [`Device::sched_run`] then executes each query on the calling thread as
+//! it is admitted, logging its kernels, and replays the logs into the
+//! device-wide view one kernel per turn in policy order. The interleaving
+//! (and every per-query byte of state) is a pure function of simulated
+//! time — concurrent execution is bit-identical to serial.
 //!
 //! ## Quick example
 //!
@@ -89,15 +91,15 @@ pub use metrics::{
     metrics_json, openmetrics, secs_to_ticks, HdrHistogram, MetricsRegistry, MetricsSnapshot,
     QueryLifecycle, SECONDS_SCALE,
 };
-pub use sched::{
-    AdmissionError, AdmitOutcome, BudgetError, QueryId, QuerySchedStats, QueueLimits, SchedPolicy,
-};
+pub use sched::{AdmissionError, BudgetError, QueryId, QuerySchedStats, QueueLimits, SchedPolicy};
 pub use stats::OpStats;
 pub use time::{PhaseTimes, SimTime};
 pub use trace::{LifecycleEvent, LifecycleStage, SpanCat, Trace, TraceEvent};
 
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::Arc;
+use trace::KernelEvent;
 
 thread_local! {
     /// Set while the current thread executes a planning-phase closure (see
@@ -167,6 +169,9 @@ impl ScopeState {
 pub(crate) struct QueryState {
     pub(crate) scope: ScopeState,
     pub(crate) budget_bytes: u64,
+    /// The query's kernel records not yet folded into the base scope, in
+    /// launch order (see [`Device::sched_run`]).
+    pub(crate) log: VecDeque<KernelEvent>,
 }
 
 pub(crate) struct DeviceState {
@@ -178,6 +183,8 @@ pub(crate) struct DeviceState {
     /// Virtual state of the current scheduling session's queries, indexed by
     /// [`QueryId`]. Cleared by the next [`Device::sched_start`].
     pub(crate) queries: Vec<QueryState>,
+    /// The scheduling session's admission and designation state.
+    pub(crate) sched: sched::SchedState,
 }
 
 impl DeviceState {
@@ -207,11 +214,55 @@ impl DeviceState {
         }
     }
 
+    /// Charge one kernel record to `scope`: advance its clock and counters
+    /// and record the kernel in its trace at the scope's clock. Returns
+    /// the kernel's start on that clock.
+    pub(crate) fn charge(&mut self, scope: Option<QueryId>, k: &KernelEvent) -> f64 {
+        let s = self.scope(scope);
+        let start = s.clock;
+        s.clock += k.dur;
+        s.counters += &k.counters;
+        self.record(scope, |tr| {
+            tr.push(TraceEvent::Kernel(KernelEvent { start, ..k.clone() }))
+        });
+        start
+    }
+
+    /// Fold one kernel record into the device-wide view: the base clock,
+    /// counters and trace (tagged with the record's query) and metrics.
+    /// Returns the kernel's start on the device clock.
+    pub(crate) fn fold(&mut self, k: &KernelEvent) -> f64 {
+        let start = self.charge(None, k);
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.on_kernel(self.base.clock, k.query, k.dur, &k.counters);
+        }
+        start
+    }
+
+    /// Retire `q` at the device clock and record its lifecycle.
+    fn retire(&mut self, q: QueryId) {
+        self.sched.retire(q, self.base.clock);
+        let stats = self.sched.stats(q);
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.push_lifecycle(QueryLifecycle {
+                query: q,
+                arrival_secs: stats.arrival_secs,
+                admitted_secs: stats.admitted_secs,
+                completion_secs: stats.completion_secs,
+                busy_secs: stats.busy_secs,
+                budget_bytes: stats.budget_bytes,
+                class: stats.class,
+                slo_secs: stats.slo_secs,
+            });
+        }
+    }
+
     /// Sample `query`'s ledger after an allocation or free: a trace memory
     /// event, plus the metrics occupancy series for the base ledger. Only
-    /// the base ledger feeds metrics: base allocations are program-ordered,
-    /// while query allocations race co-tenant sample points (their peaks
-    /// are reported per query instead).
+    /// the base ledger feeds metrics: a query allocates when it executes,
+    /// not when its kernels replay onto the device clock, so its ledger
+    /// has no place on the device's sample grid (its peak is reported per
+    /// query instead).
     pub(crate) fn on_mem(&mut self, query: Option<QueryId>) {
         let s = self.scope(query);
         let (clock, current) = (s.clock, s.mem.report().current_bytes);
@@ -227,24 +278,6 @@ impl DeviceState {
 pub(crate) struct DeviceInner {
     pub(crate) config: DeviceConfig,
     pub(crate) state: Mutex<DeviceState>,
-    /// Scheduling bookkeeping behind the kernel turn gate. Deliberately a
-    /// separate `std` mutex (with [`DeviceInner::sched_cv`]): launches block
-    /// on the condvar here, and code must never hold `state` and `sched`
-    /// at the same time.
-    pub(crate) sched: std::sync::Mutex<sched::SchedState>,
-    pub(crate) sched_cv: std::sync::Condvar,
-}
-
-impl DeviceInner {
-    pub(crate) fn sched_lock(&self) -> std::sync::MutexGuard<'_, sched::SchedState> {
-        // The budget-OOM panic never unwinds through this lock: it is
-        // raised by `DeviceBuffer::from_vec`, which holds only the state
-        // lock and drops it first. A failed assertion inside `SchedState`
-        // can still poison it, so recover the guard anyway.
-        self.sched
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 }
 
 /// A handle to a simulated GPU.
@@ -253,10 +286,10 @@ impl DeviceInner {
 /// counters, memory ledger and simulated clock. A `Device` is the first
 /// argument of every primitive and operator in this workspace.
 ///
-/// A handle returned by [`Device::sched_register`] is a *query handle*: it
-/// shares the physical device but routes counters, clock, L2, memory and
-/// tracing to that query's private virtual state, and its kernel launches
-/// are sequenced by the session's scheduling policy.
+/// A handle returned by [`Device::sched_register_spec`] is a *query
+/// handle*: it shares the physical device but routes counters, clock, L2,
+/// memory and tracing to that query's private virtual state, and its kernel
+/// launches reach the device-wide view in the session's policy order.
 #[derive(Clone)]
 pub struct Device {
     pub(crate) inner: Arc<DeviceInner>,
@@ -273,10 +306,9 @@ impl Device {
                     base: ScopeState::new(&config, 0),
                     metrics: None,
                     queries: Vec::new(),
+                    sched: sched::SchedState::default(),
                 }),
                 config,
-                sched: std::sync::Mutex::new(sched::SchedState::default()),
-                sched_cv: std::sync::Condvar::new(),
             }),
             query: None,
         }
@@ -512,9 +544,8 @@ impl Device {
     /// Run `f` against the open metrics registry (no-op when metrics are
     /// disabled — callers can record unconditionally). Engine layers use
     /// this for their own instruments: per-operator duration histograms,
-    /// per-tenant latency histograms. Only integer instruments (counters,
-    /// histograms) may be recorded from concurrent workers; see the
-    /// [`metrics`] module docs for the determinism rules.
+    /// per-tenant latency histograms. See the [`metrics`] module docs for
+    /// the determinism rules.
     pub fn with_metrics(&self, f: impl FnOnce(&mut MetricsRegistry)) {
         let mut st = self.inner.state.lock();
         if let Some(m) = st.metrics.as_deref_mut() {
@@ -560,188 +591,128 @@ impl Device {
     ///
     /// Snapshots the currently free device memory (capacity minus resident
     /// allocations, e.g. a catalog) as the pool query budgets are reserved
-    /// from, and discards any previous session's per-query state. Panics if
-    /// a session is already active.
-    pub fn sched_start(&self, policy: SchedPolicy) {
-        self.sched_start_with(policy, QueueLimits::default());
-    }
-
-    /// [`Device::sched_start`] with explicit waiting-room bounds: an
-    /// arrival that cannot be admitted immediately and finds the queue full
-    /// is *shed* — its [`Device::sched_admit`] resolves to
-    /// [`AdmitOutcome::Shed`] and it must not run.
-    pub fn sched_start_with(&self, policy: SchedPolicy, limits: QueueLimits) {
+    /// from, and discards any previous session's per-query state. `limits`
+    /// bounds the waiting room: an arrival that cannot be admitted
+    /// immediately and finds the queue full is *shed* and never runs.
+    /// Panics if a session is already active.
+    pub fn sched_start(&self, policy: SchedPolicy, limits: QueueLimits) {
         assert!(self.query.is_none(), "sched_start on a query handle");
-        let (used, clock, tracing) = {
-            let mut st = self.inner.state.lock();
-            st.queries.clear();
-            let b = &st.base;
-            (b.mem.report().current_bytes, b.clock, b.trace.is_some())
-        };
+        let mut st = self.inner.state.lock();
+        st.queries.clear();
+        let used = st.base.mem.report().current_bytes;
         let available = self.inner.config.global_mem_bytes.saturating_sub(used);
-        let mut sched = self.inner.sched_lock();
-        sched.start(policy, available, clock, limits);
+        st.sched.start(policy, available, limits);
         // Exec slices exist for the lifecycle timeline; record them only
         // when the base trace will consume them.
-        sched.record_slices = tracing;
+        st.sched.record_slices = st.base.trace.is_some();
     }
 
-    /// Register a query with the active session, reserving it a memory
-    /// budget of `budget_bytes`, and return its query handle.
+    /// Register a query with the active session and return its query
+    /// handle. The spec: fair-share `weight`, a memory budget of
+    /// `budget_bytes`, an optional future `arrival` (`None` = arrives
+    /// now), the cost model's `predicted` execution time (the ranking key
+    /// of the shortest-job policies), and the serving `class` label and
+    /// optional latency target `slo` for lifecycle exports.
     ///
-    /// Budgets are granted FIFO in registration order; a query whose budget
-    /// does not currently fit queues until earlier queries retire (block on
-    /// it with [`Device::sched_admit`]). A budget that can *never* fit —
-    /// larger than the session's free pool — is rejected here. Register all
-    /// queries from one thread: query ids are assigned in call order and the
-    /// id order is what makes admission and scheduling deterministic.
-    pub fn sched_register(&self, weight: f64, budget_bytes: u64) -> Result<Device, AdmissionError> {
-        assert!(self.query.is_none(), "sched_register on a query handle");
-        let qid = self.inner.sched_lock().register(weight, budget_bytes)?;
-        self.finish_register(qid, budget_bytes)
-    }
-
-    /// Register a query with its full serving spec: an optional future
-    /// arrival time (`None` = arrives now), the cost model's predicted
-    /// execution time (the ranking key of the shortest-job policies).
-    ///
-    /// A future arrival is open-loop load generation: the query behaves
-    /// exactly like a [`Device::sched_register`] query except that
-    /// admission and scheduling ignore it until the simulated clock reaches
+    /// Budgets are granted in policy order; a query whose budget does not
+    /// currently fit queues until earlier queries retire. A budget that can
+    /// *never* fit — larger than the session's free pool — is rejected
+    /// here. A future arrival is open-loop load generation: admission and
+    /// scheduling ignore the query until the simulated clock reaches
     /// `arrival`; if the device drains idle while only future arrivals
-    /// remain, the clock jumps forward to the earliest one. Like
-    /// `sched_register`, call from one thread in arrival order — admission
-    /// is FIFO in id order, and id order must equal arrival order for that
-    /// to mean FIFO-by-arrival.
+    /// remain, the clock jumps forward to the earliest one. Register in
+    /// arrival order: query ids are assigned in call order, and FIFO
+    /// admission is in id order.
     pub fn sched_register_spec(
         &self,
         weight: f64,
         budget_bytes: u64,
         arrival: Option<SimTime>,
         predicted: SimTime,
+        class: &str,
+        slo: Option<SimTime>,
     ) -> Result<Device, AdmissionError> {
         assert!(
             self.query.is_none(),
             "sched_register_spec on a query handle"
         );
-        // Resolve "arrives now" against the device clock *before* taking
-        // the sched lock (the two locks are never held together). The
-        // engine registers before any worker runs, so the sched clock
-        // mirror equals the device clock here.
-        let arrival_secs = match arrival {
-            Some(a) => a.secs(),
-            None => self.inner.state.lock().base.clock,
-        };
-        let qid = self.inner.sched_lock().register_spec(
+        let mut st = self.inner.state.lock();
+        let now = st.base.clock;
+        let spec = sched::QuerySched::new(
             weight,
             budget_bytes,
-            arrival_secs,
+            arrival.map_or(now, SimTime::secs),
             predicted.secs(),
-        )?;
-        self.finish_register(qid, budget_bytes)
+            Some(class.to_string()),
+            slo.map(SimTime::secs),
+        );
+        let qid = st.sched.register_spec(spec, now)?;
+        debug_assert_eq!(st.queries.len(), qid as usize);
+        st.queries.push(QueryState {
+            scope: ScopeState::new(&self.inner.config, QUERY_ADDR_BASE),
+            budget_bytes,
+            log: VecDeque::new(),
+        });
+        Ok(self.query_handle(qid))
     }
 
-    fn finish_register(&self, qid: QueryId, budget_bytes: u64) -> Result<Device, AdmissionError> {
-        {
-            let mut st = self.inner.state.lock();
-            debug_assert_eq!(
-                st.queries.len(),
-                qid as usize,
-                "sched_register must not race itself"
-            );
-            st.queries.push(QueryState {
-                scope: ScopeState::new(&self.inner.config, QUERY_ADDR_BASE),
-                budget_bytes,
-            });
-        }
-        self.inner.sched_lock().on_register(qid);
-        self.inner.sched_cv.notify_all();
-        Ok(Device {
+    fn query_handle(&self, qid: QueryId) -> Device {
+        Device {
             inner: Arc::clone(&self.inner),
             query: Some(qid),
-        })
+        }
     }
 
-    /// Block until this query's budget reservation has been granted — or,
-    /// under a bounded queue, until it is shed. Call on the query handle,
-    /// before running the query's plan; on [`AdmitOutcome::Shed`] the query
-    /// must not launch kernels and must not retire. If the device drains
-    /// idle while this query's (open-loop) arrival is still in the future,
-    /// the waiting thread itself jumps the clock forward.
-    pub fn sched_admit(&self) -> AdmitOutcome {
-        let qid = self.query.expect("sched_admit on a non-query handle");
-        let mut sched = self.inner.sched_lock();
+    /// Run the session to completion on the calling thread, then end it.
+    /// Call on the base handle after registering every query.
+    ///
+    /// This is a discrete-event replay. The moment a query is admitted,
+    /// `run` executes it on its query handle: its kernels charge only the
+    /// query's own state and are logged. The replay then folds the
+    /// designated query's next logged kernel into the device-wide clock,
+    /// counters, trace and metrics, and passes the turn on. A query
+    /// retires right after its last kernel's turn (at admission if it
+    /// launched none), releasing its reservation; when no query is
+    /// runnable the clock jumps to the next arrival. Shed queries never
+    /// run. Per-query stats and traces remain readable until the next
+    /// [`Device::sched_start`].
+    pub fn sched_run(&self, mut run: impl FnMut(&Device)) {
+        assert!(self.query.is_none(), "sched_run on a query handle");
         loop {
-            if sched.is_admitted(qid) {
-                return AdmitOutcome::Admitted;
-            }
-            if sched.is_shed(qid) {
-                return AdmitOutcome::Shed;
-            }
-            if let Some(delta) = sched.begin_idle_advance() {
-                drop(sched);
-                self.apply_idle_advance(delta);
-                sched = self.inner.sched_lock();
+            let mut st = self.inner.state.lock();
+            let admitted = st.sched.take_admitted();
+            if !admitted.is_empty() {
+                drop(st);
+                for q in admitted {
+                    run(&self.query_handle(q));
+                    let mut st = self.inner.state.lock();
+                    if st.queries[q as usize].log.is_empty() {
+                        st.retire(q);
+                    }
+                }
                 continue;
             }
-            sched = self
-                .inner
-                .sched_cv
-                .wait(sched)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let now = st.base.clock;
+            if let Some(q) = st.sched.designated() {
+                let k = st.queries[q as usize]
+                    .log
+                    .pop_front()
+                    .expect("a designated query has a kernel left to replay");
+                let start = st.fold(&k);
+                let now = st.base.clock;
+                st.sched.complete_turn(q, k.dur, start, now);
+                if st.queries[q as usize].log.is_empty() {
+                    st.retire(q);
+                }
+            } else if let Some(next) = st.sched.next_arrival(now) {
+                st.base.clock += next - now;
+                let now = st.base.clock;
+                st.sched.arrive(now);
+            } else {
+                st.sched.finish();
+                return;
+            }
         }
-    }
-
-    /// Second phase of an idle advance: the calling thread holds the
-    /// exclusive `advancing` claim (designation is `None`, so no kernel can
-    /// race the clock), moves the device clock with the sched lock released
-    /// (the two locks are never held together), then commits.
-    fn apply_idle_advance(&self, delta: f64) {
-        self.inner.state.lock().base.clock += delta;
-        self.inner.sched_lock().finish_idle_advance(delta);
-        self.inner.sched_cv.notify_all();
-    }
-
-    /// Retire this query: record its completion time from its turn-gated
-    /// stamp (the simulated clock right after its last kernel — *not* the
-    /// live device clock, which would encode host-thread timing under
-    /// concurrent policies), release its budget reservation (possibly
-    /// admitting queued queries), and remove it from scheduling. Call on
-    /// the query handle exactly once, whether the query succeeded or
-    /// failed — but never for a shed query, which finished at arrival.
-    pub fn sched_retire(&self) {
-        let qid = self.query.expect("sched_retire on a non-query handle");
-        let stats = {
-            let mut sched = self.inner.sched_lock();
-            sched.retire(qid);
-            sched.stats(qid)
-        };
-        self.inner.sched_cv.notify_all();
-        let mut st = self.inner.state.lock();
-        if let Some(m) = st.metrics.as_deref_mut() {
-            // Deterministic simulated timestamps; host-racy *recording*
-            // order is neutralized by sorting lifecycles at snapshot time.
-            m.push_lifecycle(QueryLifecycle {
-                query: qid,
-                arrival_secs: stats.arrival_secs,
-                admitted_secs: stats.admitted_secs,
-                completion_secs: stats.completion_secs,
-                busy_secs: stats.busy_secs,
-                budget_bytes: stats.budget_bytes,
-                class: stats.class.clone(),
-                slo_secs: stats.slo_secs,
-            });
-        }
-    }
-
-    /// Attach a serving-class label and optional latency target to a
-    /// registered query, for lifecycle exports and SLO accounting. Call on
-    /// the query handle from the registering (driver) thread.
-    pub fn sched_label(&self, class: &str, slo: Option<SimTime>) {
-        let qid = self.query.expect("sched_label on a non-query handle");
-        self.inner
-            .sched_lock()
-            .annotate(qid, Some(class.to_string()), slo.map(|s| s.secs()));
     }
 
     /// The exec slices (contiguous runs of kernel turns, device-clock
@@ -749,53 +720,13 @@ impl Device {
     /// just-finished session. Empty unless the base trace was enabled when
     /// the session started.
     pub fn sched_query_slices(&self, query: QueryId) -> Vec<(f64, f64)> {
-        self.inner.sched_lock().slices(query)
-    }
-
-    /// End the session. Call on the base handle after every query retired.
-    /// Per-query stats and traces remain readable until the next
-    /// [`Device::sched_start`].
-    pub fn sched_finish(&self) {
-        assert!(self.query.is_none(), "sched_finish on a query handle");
-        self.inner.sched_lock().finish();
+        self.inner.state.lock().sched.slices(query)
     }
 
     /// Scheduling outcome (busy time, completion time, budget) of a query in
     /// the current or just-finished session.
     pub fn sched_query_stats(&self, query: QueryId) -> QuerySchedStats {
-        self.inner.sched_lock().stats(query)
-    }
-
-    /// Wait until the scheduling policy designates `qid` to run the next
-    /// kernel. Returns `false` (without waiting) when no session is active,
-    /// in which case no turn is held and none must be completed.
-    pub(crate) fn acquire_turn(&self, qid: QueryId) -> bool {
-        let mut sched = self.inner.sched_lock();
-        if !sched.active() {
-            return false;
-        }
-        loop {
-            if sched.take_turn(qid) {
-                return true;
-            }
-            if let Some(delta) = sched.begin_idle_advance() {
-                drop(sched);
-                self.apply_idle_advance(delta);
-                sched = self.inner.sched_lock();
-                continue;
-            }
-            sched = self
-                .inner
-                .sched_cv
-                .wait(sched)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// Account a finished kernel turn and pass the turn to the next query.
-    pub(crate) fn complete_turn(&self, qid: QueryId, kernel_secs: f64) {
-        self.inner.sched_lock().complete_turn(qid, kernel_secs);
-        self.inner.sched_cv.notify_all();
+        self.inner.state.lock().sched.stats(query)
     }
 }
 
@@ -843,46 +774,58 @@ mod tests {
         assert_eq!(dev.counters().kernel_launches, 0);
     }
 
+    fn register(dev: &Device, budget: u64) -> Result<Device, AdmissionError> {
+        dev.sched_register_spec(1.0, budget, None, SimTime::ZERO, "default", None)
+    }
+
     #[test]
     fn query_handles_virtualize_device_state() {
         let dev = Device::a100();
-        dev.sched_start(SchedPolicy::RoundRobin);
-        let q0 = dev.sched_register(1.0, 1 << 30).unwrap();
-        let q1 = dev.sched_register(1.0, 1 << 30).unwrap();
-        q0.sched_admit();
-        q1.sched_admit();
+        dev.sched_start(SchedPolicy::RoundRobin, QueueLimits::default());
+        let q0 = register(&dev, 1 << 30).unwrap();
+        let q1 = register(&dev, 1 << 30).unwrap();
         assert_eq!(q0.query_id(), Some(0));
         assert_eq!(q1.mem_capacity(), 1 << 30);
 
-        q0.kernel("k0").items(1 << 20, 2.0).launch();
+        dev.sched_run(|q| {
+            if q.query_id() == Some(0) {
+                q.kernel("k0").items(1 << 20, 2.0).launch();
+                // The query's own state moves at launch; the base device
+                // sees the kernel only when the replay folds it in.
+                assert_eq!(q.counters().kernel_launches, 1);
+                assert_eq!(dev.counters().kernel_launches, 0);
+            } else {
+                let _buf = q.alloc::<i64>(1024, "q1.buf");
+                assert_eq!(q.mem_report().current_bytes, 8192);
+                assert_eq!(dev.mem_report().current_bytes, 0, "base ledger untouched");
+            }
+        });
         // Query state is private; the base device aggregates.
         assert_eq!(q0.counters().kernel_launches, 1);
         assert_eq!(q1.counters().kernel_launches, 0);
         assert_eq!(dev.counters().kernel_launches, 1);
         assert!(q0.elapsed().secs() > 0.0);
         assert_eq!(q1.elapsed().secs(), 0.0);
+        assert_eq!(q1.mem_report().peak_bytes, 8192);
 
-        let buf = q1.alloc::<i64>(1024, "q1.buf");
-        assert_eq!(q1.mem_report().current_bytes, 8192);
-        assert_eq!(q0.mem_report().current_bytes, 0);
-        assert_eq!(dev.mem_report().current_bytes, 0, "base ledger untouched");
-        drop(buf);
-
-        q0.sched_retire();
-        q1.sched_retire();
-        dev.sched_finish();
         let s0 = dev.sched_query_stats(0);
-        assert!(s0.busy_secs > 0.0);
+        assert_eq!(s0.busy_secs, q0.elapsed().secs());
+        assert_eq!(s0.completion_secs, dev.elapsed().secs());
         assert_eq!(s0.budget_bytes, 1 << 30);
+        assert_eq!(
+            dev.sched_query_stats(1).completion_secs,
+            0.0,
+            "a query without kernels retires at admission"
+        );
     }
 
     #[test]
     fn oversized_budget_is_rejected() {
         let dev = Device::a100();
-        dev.sched_start(SchedPolicy::Serial);
+        dev.sched_start(SchedPolicy::Serial, QueueLimits::default());
         let cap = dev.config().global_mem_bytes;
-        let err = dev.sched_register(1.0, cap + 1).unwrap_err();
+        let err = register(&dev, cap + 1).unwrap_err();
         assert_eq!(err.available_bytes, cap);
-        dev.sched_finish();
+        dev.sched_run(|_| unreachable!("nothing was registered"));
     }
 }

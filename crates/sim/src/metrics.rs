@@ -10,26 +10,26 @@
 //!
 //! ## Determinism rules
 //!
-//! Everything here must be **bit-identical across re-runs**, whatever
-//! order the query worker threads record in, which dictates three design
-//! rules:
+//! Everything here must be **bit-identical across re-runs** and, for the
+//! per-query families, across scheduling policies, which dictates three
+//! design rules:
 //!
 //! 1. **Integer instruments.** Histograms store `u64` tick counts in `u64`
-//!    buckets and an integer sum; counters are `u64`. Worker threads may
-//!    record in any host order — bucket increments and integer adds
-//!    commute, so the exported bytes cannot depend on thread timing.
-//!    (Gauges are last-writer-wins `f64`s: set them only from one thread or
-//!    from turn-gated/driver-ordered code.)
-//! 2. **The sampler advances only at kernel launches.** Launches through
-//!    query handles are turn-gated, so their order and timestamps are a
-//!    pure function of simulated state. Events that are *not* turn-gated —
-//!    another tenant's allocation, a retire racing a co-tenant's kernel —
-//!    are never sampled live: base-ledger occupancy is fed from the
-//!    (program-ordered) base allocation path, and per-query lifecycle
-//!    series (queue depth, in-flight tenants) are **post-computed at
-//!    snapshot time** from deterministic simulated timestamps.
-//! 3. **Export order is sorted, not insertion order.** Which thread first
-//!    touches a metric family is a host race; exporters sort by
+//!    buckets and an integer sum; counters are `u64`. Queries record while
+//!    they execute, which is in admission order, not in the order their
+//!    kernels replay — bucket increments and integer adds commute, so the
+//!    exported bytes cannot depend on that order. (Gauges are
+//!    last-writer-wins `f64`s: set them only from code whose order is
+//!    fixed, such as the scheduler's report pass.)
+//! 2. **The sampler advances only at kernels folded into the device.** A
+//!    scheduling session replays query kernels in policy order, so their
+//!    order and timestamps are a pure function of simulated state. Events
+//!    outside that stream are never sampled live: base-ledger occupancy is
+//!    fed from the (program-ordered) base allocation path, and per-query
+//!    lifecycle series (queue depth, in-flight tenants) are
+//!    **post-computed at snapshot time** from the lifecycle timestamps.
+//! 3. **Export order is sorted, not insertion order.** Which query first
+//!    touches a metric family depends on the policy; exporters sort by
 //!    (name, labels), so the text is identical regardless.
 //!
 //! The per-query **dual accounting** mirrors the scheduler's virtualized
@@ -611,9 +611,9 @@ impl DeviceMetrics {
         self.sampler.maybe_emit(clock, &self.totals);
     }
 
-    /// Track a base-ledger occupancy change (program-ordered: base
-    /// allocations happen outside any turn gate, so only the base ledger —
-    /// not co-tenant sub-ledgers — may feed the live series).
+    /// Track a base-ledger occupancy change (program-ordered; co-tenant
+    /// sub-ledgers change when their queries execute, not when their
+    /// kernels replay, so they never feed the live series).
     pub(crate) fn on_mem(&mut self, current_bytes: u64) {
         self.sampler.mem_current = current_bytes;
         self.sampler.window.mem_high_water = self.sampler.window.mem_high_water.max(current_bytes);
@@ -626,8 +626,8 @@ impl DeviceMetrics {
         self.sampler.window = Window::default();
     }
 
-    /// Record a retired query's lifecycle (deterministic simulated
-    /// timestamps; insertion order is a host race, so snapshots sort).
+    /// Record a retired query's lifecycle (insertion order is retire
+    /// order, which depends on the policy; snapshots sort by query id).
     pub(crate) fn push_lifecycle(&mut self, lc: QueryLifecycle) {
         self.lifecycles.push(lc);
     }
@@ -654,9 +654,8 @@ impl DeviceMetrics {
 /// Post-compute queue-depth series from lifecycle records on the sample
 /// grid: `queue_depth` counts queries with `arrival ≤ t < completion`
 /// (in system: queued or running), `running_depth` those already admitted.
-/// Retires are not turn-gated, so sampling these live would race — the
-/// timestamps themselves are deterministic, the *observation* is made so
-/// by computing it here.
+/// Computing them here, rather than sampling live, keeps the series
+/// independent of when in the replay each retire is recorded.
 fn lifecycle_series(lifecycles: &[QueryLifecycle], interval: f64) -> Vec<Series> {
     if lifecycles.is_empty() {
         return Vec::new();

@@ -14,29 +14,29 @@
 //!   the waiting room ([`QueueLimits`]): an arrival that cannot be admitted
 //!   immediately and finds the queue full is *shed* — marked finished
 //!   without ever holding a reservation — rather than waiting forever.
-//! * **Kernel-granular interleaving** — a query's kernel launches pass
-//!   through a turn gate: the launch blocks until the scheduling policy
-//!   designates that query, performs its accounting, then hands the turn
-//!   on. The designation is a pure function of *simulated* state (query
-//!   ids, per-query busy time, weights, predicted costs), so the
-//!   interleaving — and with it every counter, clock and trace byte — is
-//!   deterministic regardless of host thread timing.
-//! * **Turn-gated completion stamp** — every completed turn stamps the
-//!   owning query with the post-kernel simulated clock; retire reads the
-//!   stamp instead of the live device clock. A query's completion time is
-//!   therefore the clock right after its last kernel — a pure function of
-//!   the (deterministic) turn sequence — rather than whatever the clock
-//!   happened to read when its host thread got around to retiring. That is
-//!   what makes latency metrics and full exports byte-identical across
-//!   *all* policies and host-thread counts, not just `Serial`.
+//! * **Replay of a single kernel stream** — a query executes, on the
+//!   calling thread, the moment it is admitted; its kernels charge only its
+//!   own virtual state and are logged. The device then replays the logs
+//!   one kernel per turn in the order the policy designates: the
+//!   designation is a pure function of *simulated* state (query ids,
+//!   per-query busy time, weights, predicted costs), so the interleaving —
+//!   and with it every counter, clock and trace byte — is a pure function
+//!   of the inputs.
+//! * **Retire at the last kernel** — a query retires right after its last
+//!   kernel's turn (at admission if it launched none): its completion time
+//!   is the device clock at that point, and the admission pass its retire
+//!   triggers runs at that same clock under every policy.
 //! * **Virtualized device state** — each query gets its own counters,
 //!   clock, L2 image, trace and budget-capped memory sub-ledger (see
 //!   `lib.rs`), so a query's observable execution is touched only by its
-//!   own kernels, in program order. That is the whole concurrent-equals-
-//!   serial argument: per-query state evolves identically under any policy.
+//!   own kernels, in program order. Per-query state therefore evolves
+//!   identically under any policy, and concurrent execution is
+//!   bit-identical to serial.
 //!
-//! The engine's `scheduler` module drives this API; it is exposed on
-//! [`crate::Device`] as the `sched_*` methods.
+//! `SchedState` is the pure state machine; every method takes the device
+//! clock as an argument instead of keeping a copy of it. The engine's
+//! `scheduler` module drives it through the `sched_*` methods of
+//! [`crate::Device`].
 
 use serde::{Deserialize, Serialize};
 
@@ -44,7 +44,7 @@ use serde::{Deserialize, Serialize};
 /// in registration order.
 pub type QueryId = u32;
 
-/// How the turn gate picks the next query to run a kernel.
+/// How a session picks the next query to run a kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedPolicy {
     /// Run admitted queries to completion in query-id order — the serial
@@ -101,19 +101,6 @@ pub struct QueueLimits {
     pub total_depth: Option<usize>,
 }
 
-/// What [`crate::Device::sched_admit`] resolved to: the query either holds
-/// its reservation and may launch kernels, or it was shed by the bounded
-/// queue and must not touch the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmitOutcome {
-    /// The reservation was granted; run the query.
-    Admitted,
-    /// The waiting room was full when the query arrived; it was dropped
-    /// without ever holding a reservation and its completion time is its
-    /// arrival time.
-    Shed,
-}
-
 /// Typed payload carried by the panic a budget-capped allocation raises
 /// when a query's sub-ledger would exceed its reservation.
 ///
@@ -147,7 +134,7 @@ impl std::fmt::Display for BudgetError {
     }
 }
 
-/// Error returned by [`crate::Device::sched_register`] when a query's
+/// Error returned by [`crate::Device::sched_register_spec`] when a query's
 /// requested budget can never be satisfied on this device.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionError {
@@ -173,9 +160,9 @@ impl std::fmt::Display for AdmissionError {
 pub struct QuerySchedStats {
     /// Simulated seconds of kernel time this query received.
     pub busy_secs: f64,
-    /// The query's turn-gated completion stamp (seconds): the simulated
-    /// clock right after its last kernel turn (its admission time if it
-    /// ran no kernels; its arrival time if it was shed).
+    /// The query's completion time (seconds): the device clock right after
+    /// its last kernel turn (its admission time if it ran no kernels; its
+    /// arrival time if it was shed).
     pub completion_secs: f64,
     /// Device clock when the query's budget reservation was granted.
     pub admitted_secs: f64,
@@ -190,9 +177,9 @@ pub struct QuerySchedStats {
     /// The query was shed by the bounded queue: it never held a
     /// reservation and ran nothing.
     pub shed: bool,
-    /// Serving class label, when the session annotated one.
+    /// Serving class label given at registration.
     pub class: Option<String>,
-    /// Per-class latency target (seconds), when the session set one.
+    /// Per-class latency target (seconds), when registration set one.
     pub slo_secs: Option<f64>,
 }
 
@@ -210,11 +197,6 @@ pub(crate) struct QuerySched {
     busy_secs: f64,
     admitted_secs: f64,
     completion_secs: f64,
-    /// Turn-gated completion stamp: the clock right after this query's
-    /// most recent kernel turn (seeded with the admission time). Retire
-    /// copies it into `completion_secs` instead of reading the live device
-    /// clock, which keeps completion times independent of host timing.
-    stamp_secs: f64,
     /// Simulated time at which the query enters the system. Until then it
     /// is invisible to admission and designation.
     arrival_secs: f64,
@@ -226,113 +208,24 @@ pub(crate) struct QuerySched {
     /// set (lifecycle tracing active). Consecutive turns with no foreign
     /// clock advance in between coalesce into one slice.
     slices: Vec<(f64, f64)>,
-    /// Serving class label attached by the session for lifecycle exports.
+    /// Serving class label for lifecycle exports.
     class_name: Option<String>,
-    /// Per-class latency target attached by the session.
+    /// Per-class latency target.
     slo_secs: Option<f64>,
 }
 
-/// The state behind the turn gate. Guarded by a dedicated `std` mutex (and
-/// condvar) in `DeviceInner`, *never* held together with the device-state
-/// lock.
-#[derive(Default)]
-pub(crate) struct SchedState {
-    policy: Option<SchedPolicy>,
-    limits: QueueLimits,
-    queries: Vec<QuerySched>,
-    designated: Option<QueryId>,
-    /// The designated query has taken its turn and its kernel is being
-    /// accounted. The designation stays fixed until the turn completes: a
-    /// co-tenant's retire may admit a better-ranked query meanwhile, but
-    /// that query can only take the *next* turn.
-    turn_in_flight: bool,
-    /// Round-robin resume point: the first id considered for the next turn.
-    rr_cursor: u32,
-    /// Sum of granted (admitted, unretired) reservations.
-    reserved_bytes: u64,
-    /// Free device bytes at session start (capacity minus base residents).
-    available_bytes: u64,
-    /// Mirror of the device clock, maintained without ever touching the
-    /// state lock: seeded at `start`, advanced by each completed turn and
-    /// each committed idle advance. During a session those are the only
-    /// ways the device clock moves, and the mirror applies the identical
-    /// float additions in identical order, so the two are *exactly* equal —
-    /// every timestamp in this module reads simulated time from here.
-    clock: f64,
-    /// An idle advance is in flight: one thread is applying a clock jump to
-    /// the device state with the sched lock released. Until it commits via
-    /// [`SchedState::finish_idle_advance`], no other thread may start one.
-    advancing: bool,
-    /// Record per-query exec slices in [`SchedState::complete_turn`]. Set
-    /// by the device when lifecycle tracing is active at session start;
-    /// zero-cost (one branch per turn) otherwise.
-    pub(crate) record_slices: bool,
-}
-
-impl SchedState {
-    pub(crate) fn start(
-        &mut self,
-        policy: SchedPolicy,
-        available_bytes: u64,
-        device_clock: f64,
-        limits: QueueLimits,
-    ) {
-        assert!(
-            self.policy.is_none(),
-            "a scheduling session is already active on this device"
-        );
-        self.policy = Some(policy);
-        self.limits = limits;
-        self.queries.clear();
-        self.designated = None;
-        self.turn_in_flight = false;
-        self.rr_cursor = 0;
-        self.reserved_bytes = 0;
-        self.available_bytes = available_bytes;
-        self.clock = device_clock;
-        self.advancing = false;
-        self.record_slices = false;
-    }
-
-    pub(crate) fn finish(&mut self) {
-        assert!(
-            self.queries.iter().all(|q| q.finished),
-            "sched_finish with unretired queries"
-        );
-        self.policy = None;
-        self.designated = None;
-    }
-
-    pub(crate) fn active(&self) -> bool {
-        self.policy.is_some()
-    }
-
-    /// Register a query with the session; returns its id. Admission (the
-    /// actual reservation) happens separately, in policy order.
-    pub(crate) fn register(
-        &mut self,
-        weight: f64,
-        budget_bytes: u64,
-    ) -> Result<QueryId, AdmissionError> {
-        let clock = self.clock;
-        self.register_spec(weight, budget_bytes, clock, 0.0)
-    }
-
-    /// Register a query with its full serving spec: arrival time (possibly
-    /// in the future) and predicted execution time (the shortest-job
-    /// ranking key). Until the
-    /// clock reaches its arrival the query is invisible to admission and
-    /// designation; when every in-system query has drained and only future
-    /// arrivals remain, the clock jumps forward (see
-    /// [`SchedState::begin_idle_advance`]).
-    pub(crate) fn register_spec(
-        &mut self,
+impl QuerySched {
+    /// A query's serving spec: fair-share weight, reservation, arrival
+    /// time (possibly in the future), predicted execution time (the
+    /// shortest-job ranking key), class label and latency target.
+    pub(crate) fn new(
         weight: f64,
         budget_bytes: u64,
         arrival_secs: f64,
         predicted_secs: f64,
-    ) -> Result<QueryId, AdmissionError> {
-        assert!(self.active(), "sched_register outside a session");
+        class_name: Option<String>,
+        slo_secs: Option<f64>,
+    ) -> Self {
         assert!(weight > 0.0, "query weight must be positive");
         assert!(
             arrival_secs.is_finite(),
@@ -342,14 +235,7 @@ impl SchedState {
             predicted_secs.is_finite() && predicted_secs >= 0.0,
             "predicted time must be finite and non-negative"
         );
-        if budget_bytes > self.available_bytes {
-            return Err(AdmissionError {
-                requested_bytes: budget_bytes,
-                available_bytes: self.available_bytes,
-            });
-        }
-        let id = self.queries.len() as QueryId;
-        self.queries.push(QuerySched {
+        QuerySched {
             weight,
             budget_bytes,
             predicted_secs,
@@ -359,28 +245,88 @@ impl SchedState {
             busy_secs: 0.0,
             admitted_secs: 0.0,
             completion_secs: 0.0,
-            stamp_secs: arrival_secs,
             arrival_secs,
-            arrived: arrival_secs <= self.clock,
+            arrived: false,
             first_turn_secs: None,
             slices: Vec::new(),
-            class_name: None,
-            slo_secs: None,
-        });
-        Ok(id)
+            class_name,
+            slo_secs,
+        }
+    }
+}
+
+/// A session's scheduling state. Lives in the device state, under its one
+/// lock; a pure function of the calls made on it.
+#[derive(Default)]
+pub(crate) struct SchedState {
+    policy: Option<SchedPolicy>,
+    limits: QueueLimits,
+    queries: Vec<QuerySched>,
+    designated: Option<QueryId>,
+    /// Queries admitted since the last [`SchedState::take_admitted`], in
+    /// admission order: the replay executes each before its first turn.
+    admitted_log: Vec<QueryId>,
+    /// Round-robin resume point: the first id considered for the next turn.
+    rr_cursor: u32,
+    /// Sum of granted (admitted, unretired) reservations.
+    reserved_bytes: u64,
+    /// Free device bytes at session start (capacity minus base residents).
+    available_bytes: u64,
+    /// Record per-query exec slices in [`SchedState::complete_turn`]. Set
+    /// by the device when lifecycle tracing is active at session start;
+    /// zero-cost (one branch per turn) otherwise.
+    pub(crate) record_slices: bool,
+}
+
+impl SchedState {
+    pub(crate) fn start(&mut self, policy: SchedPolicy, available_bytes: u64, limits: QueueLimits) {
+        assert!(
+            self.policy.is_none(),
+            "a scheduling session is already active on this device"
+        );
+        *self = SchedState {
+            policy: Some(policy),
+            limits,
+            available_bytes,
+            ..SchedState::default()
+        };
     }
 
-    /// Attach a serving-class label and latency target to a registered
-    /// query, for lifecycle exports and SLO accounting.
-    pub(crate) fn annotate(
+    pub(crate) fn finish(&mut self) {
+        assert!(
+            self.queries.iter().all(|q| q.finished),
+            "scheduling session ended with unretired queries"
+        );
+        self.policy = None;
+        self.designated = None;
+    }
+
+    pub(crate) fn active(&self) -> bool {
+        self.policy.is_some()
+    }
+
+    /// Register a query, then run the arrival pipeline: an admission pass
+    /// at `now`, and the shed check if the query arrived unadmitted. Until
+    /// the clock reaches its arrival the query is invisible to admission
+    /// and designation.
+    pub(crate) fn register_spec(
         &mut self,
-        id: QueryId,
-        class_name: Option<String>,
-        slo_secs: Option<f64>,
-    ) {
-        let q = &mut self.queries[id as usize];
-        q.class_name = class_name;
-        q.slo_secs = slo_secs;
+        mut q: QuerySched,
+        now: f64,
+    ) -> Result<QueryId, AdmissionError> {
+        assert!(self.active(), "sched_register_spec outside a session");
+        if q.budget_bytes > self.available_bytes {
+            return Err(AdmissionError {
+                requested_bytes: q.budget_bytes,
+                available_bytes: self.available_bytes,
+            });
+        }
+        let id = self.queries.len() as QueryId;
+        q.arrived = q.arrival_secs <= now;
+        self.queries.push(q);
+        self.admit_pass(now);
+        self.shed_overflow(&[id]);
+        Ok(id)
     }
 
     /// The exec slices recorded for a query (empty unless
@@ -389,35 +335,21 @@ impl SchedState {
         self.queries[id as usize].slices.clone()
     }
 
-    /// Flip queries whose arrival time the clock has reached to arrived;
-    /// returns the newly arrived ids in id order (the shed check runs over
-    /// exactly these).
-    fn mark_arrivals(&mut self) -> Vec<QueryId> {
-        let mut newly = Vec::new();
-        for (i, q) in self.queries.iter_mut().enumerate() {
-            if !q.arrived && q.arrival_secs <= self.clock {
-                q.arrived = true;
-                newly.push(i as QueryId);
-            }
-        }
-        newly
-    }
-
     /// A query occupying the waiting room: in the system but not yet
     /// holding a reservation.
     fn waiting(q: &QuerySched) -> bool {
         q.arrived && !q.admitted && !q.finished
     }
 
-    /// The policy's ranking key for a waiting or runnable query. Lower
-    /// runs (or is admitted) first; ties break toward the lower id at the
-    /// call sites.
-    fn rank(&self, q: &QuerySched) -> f64 {
+    /// The policy's ranking key at clock `now` for a waiting or runnable
+    /// query. Lower runs (or is admitted) first; ties break toward the
+    /// lower id at the call sites.
+    fn rank(&self, q: &QuerySched, now: f64) -> f64 {
         match self.policy {
             Some(SchedPolicy::SjfAging) => {
                 // A job's rank decays with its time in system, so waiting
                 // long jobs eventually outrank fresh short ones.
-                q.predicted_secs / (1.0 + (self.clock - q.arrival_secs).max(0.0))
+                q.predicted_secs / (1.0 + (now - q.arrival_secs).max(0.0))
             }
             _ => q.predicted_secs,
         }
@@ -429,7 +361,7 @@ impl SchedState {
     /// everyone behind it, which keeps admission order — and therefore
     /// everything downstream — deterministic. Queries that have not yet
     /// *arrived* are skipped rather than blocking.
-    pub(crate) fn admit_pass(&mut self) {
+    fn admit_pass(&mut self, now: f64) {
         let cost_ordered = self.policy.is_some_and(|p| p.cost_ordered());
         let mut order: Vec<QueryId> = (0..self.queries.len() as QueryId)
             .filter(|&id| Self::waiting(&self.queries[id as usize]))
@@ -437,8 +369,8 @@ impl SchedState {
         if cost_ordered {
             order.sort_by(|&a, &b| {
                 let (qa, qb) = (&self.queries[a as usize], &self.queries[b as usize]);
-                self.rank(qa)
-                    .partial_cmp(&self.rank(qb))
+                self.rank(qa, now)
+                    .partial_cmp(&self.rank(qb, now))
                     .unwrap()
                     .then(a.cmp(&b))
             });
@@ -450,13 +382,11 @@ impl SchedState {
             }
             self.reserved_bytes += q.budget_bytes;
             q.admitted = true;
-            q.admitted_secs = self.clock;
-            // A query that never launches a kernel completes the moment it
-            // is admitted; every completed turn advances this stamp.
-            q.stamp_secs = self.clock;
+            q.admitted_secs = now;
+            self.admitted_log.push(id);
         }
         if self.designated.is_none() {
-            self.redesignate();
+            self.redesignate(now);
         }
     }
 
@@ -464,7 +394,7 @@ impl SchedState {
     /// find the waiting room full. `candidates` are processed in id order;
     /// a shed query finishes immediately (completion = arrival) without
     /// ever holding a reservation. With unbounded limits this is a no-op.
-    pub(crate) fn shed_overflow(&mut self, candidates: &[QueryId]) {
+    fn shed_overflow(&mut self, candidates: &[QueryId]) {
         for &id in candidates {
             if !Self::waiting(&self.queries[id as usize]) {
                 continue;
@@ -480,121 +410,92 @@ impl SchedState {
                 q.finished = true;
                 q.shed = true;
                 q.completion_secs = q.arrival_secs;
-                q.stamp_secs = q.arrival_secs;
             }
         }
     }
 
-    /// Run the arrival pipeline after a registration: admission pass, then
-    /// the shed check for the new query if it arrived unadmitted.
-    pub(crate) fn on_register(&mut self, id: QueryId) {
-        self.admit_pass();
-        self.shed_overflow(&[id]);
+    /// The clock moved to `now` (after a kernel turn, or an idle jump to
+    /// [`SchedState::next_arrival`]): queries whose arrival it reached
+    /// enter the system, the admission pass runs, newly arrived queries
+    /// that find the waiting room full are shed, and the designation is
+    /// recomputed.
+    pub(crate) fn arrive(&mut self, now: f64) {
+        let mut newly = Vec::new();
+        for (i, q) in self.queries.iter_mut().enumerate() {
+            if !q.arrived && q.arrival_secs <= now {
+                q.arrived = true;
+                newly.push(i as QueryId);
+            }
+        }
+        self.admit_pass(now);
+        self.shed_overflow(&newly);
+        self.redesignate(now);
     }
 
-    /// If the device is idle (no runnable query) but future arrivals exist,
-    /// claim the right to jump the clock to the earliest one. Returns the
-    /// jump delta; the caller must release the sched lock, advance the
-    /// *device* clock by the delta, then commit with
-    /// [`SchedState::finish_idle_advance`]. The `advancing` flag keeps the
-    /// jump exclusive; designation stays `None` until the commit, so no
-    /// kernel can read the device clock mid-jump (any admitted unfinished
-    /// query would be designated and therefore block the advance).
-    pub(crate) fn begin_idle_advance(&mut self) -> Option<f64> {
-        if !self.active() || self.advancing || self.designated.is_some() {
-            return None;
-        }
+    /// The earliest arrival after `now`: the time an idle clock jumps to.
+    pub(crate) fn next_arrival(&self, now: f64) -> Option<f64> {
         let next = self
             .queries
             .iter()
-            .filter(|q| !q.arrived && !q.finished && q.arrival_secs > self.clock)
+            .filter(|q| !q.arrived && !q.finished && q.arrival_secs > now)
             .map(|q| q.arrival_secs)
             .fold(f64::INFINITY, f64::min);
-        if !next.is_finite() {
-            return None;
-        }
-        self.advancing = true;
-        Some(next - self.clock)
+        next.is_finite().then_some(next)
     }
 
-    /// Commit an idle advance after the device clock has been moved.
-    pub(crate) fn finish_idle_advance(&mut self, delta: f64) {
-        debug_assert!(self.advancing, "finish_idle_advance without begin");
-        self.advancing = false;
-        self.clock += delta;
-        let newly = self.mark_arrivals();
-        self.admit_pass();
-        self.shed_overflow(&newly);
-        self.redesignate();
+    /// The query designated to run the next kernel turn.
+    pub(crate) fn designated(&self) -> Option<QueryId> {
+        self.designated
     }
 
-    pub(crate) fn is_admitted(&self, id: QueryId) -> bool {
+    /// Drain the queries admitted since the last call, in admission order.
+    pub(crate) fn take_admitted(&mut self) -> Vec<QueryId> {
+        std::mem::take(&mut self.admitted_log)
+    }
+
+    #[cfg(test)]
+    fn is_admitted(&self, id: QueryId) -> bool {
         self.queries[id as usize].admitted
     }
 
-    pub(crate) fn is_shed(&self, id: QueryId) -> bool {
+    #[cfg(test)]
+    fn is_shed(&self, id: QueryId) -> bool {
         self.queries[id as usize].shed
     }
 
-    /// Take the turn if `id` is designated; the designation then holds
-    /// until [`SchedState::complete_turn`].
-    pub(crate) fn take_turn(&mut self, id: QueryId) -> bool {
-        if self.designated != Some(id) {
-            return false;
-        }
-        self.turn_in_flight = true;
-        true
-    }
-
-    /// Account a completed kernel turn and pass the turn on. The clock
-    /// mirror advances with the kernel (the device clock already did, under
-    /// the state lock), the owning query's completion stamp moves to the
-    /// post-kernel clock, and new arrivals may enter the system.
-    pub(crate) fn complete_turn(&mut self, id: QueryId, kernel_secs: f64) {
+    /// Account the designated query's kernel turn `[start, now]` of
+    /// `kernel_secs` and pass the turn on; new arrivals may enter the
+    /// system.
+    pub(crate) fn complete_turn(&mut self, id: QueryId, kernel_secs: f64, start: f64, now: f64) {
         debug_assert_eq!(self.designated, Some(id), "turn completed out of order");
-        self.turn_in_flight = false;
-        let turn_start = self.clock;
-        self.queries[id as usize].busy_secs += kernel_secs;
-        self.clock += kernel_secs;
-        let clock = self.clock;
-        {
-            let q = &mut self.queries[id as usize];
-            q.stamp_secs = clock;
-            if q.first_turn_secs.is_none() {
-                q.first_turn_secs = Some(turn_start);
-            }
-            if self.record_slices {
-                match q.slices.last_mut() {
-                    // Back-to-back turns share a boundary: extend the slice.
-                    Some(last) if last.1 == turn_start => last.1 = clock,
-                    _ => q.slices.push((turn_start, clock)),
-                }
+        let q = &mut self.queries[id as usize];
+        q.busy_secs += kernel_secs;
+        q.first_turn_secs.get_or_insert(start);
+        if self.record_slices {
+            match q.slices.last_mut() {
+                // Back-to-back turns share a boundary: extend the slice.
+                Some(last) if last.1 == start => last.1 = now,
+                _ => q.slices.push((start, now)),
             }
         }
-        let newly = self.mark_arrivals();
-        self.admit_pass();
-        self.shed_overflow(&newly);
         if self.policy == Some(SchedPolicy::RoundRobin) {
             self.rr_cursor = id + 1;
         }
-        self.redesignate();
+        self.arrive(now);
     }
 
-    /// Mark a query finished, release its reservation, and re-run the
-    /// admission pass for queued queries. Completion time comes from the
-    /// query's turn-gated stamp — the clock right after its last kernel —
-    /// never from the live device clock, so it is identical under every
-    /// policy and host-thread count.
-    pub(crate) fn retire(&mut self, id: QueryId) {
+    /// Mark a query finished at clock `now`, release its reservation, and
+    /// re-run the admission pass for queued queries.
+    pub(crate) fn retire(&mut self, id: QueryId, now: f64) {
         let q = &mut self.queries[id as usize];
         assert!(!q.finished, "query retired twice");
         q.finished = true;
-        q.completion_secs = q.stamp_secs;
+        q.completion_secs = now;
         if q.admitted {
             self.reserved_bytes -= q.budget_bytes;
         }
-        self.admit_pass();
-        self.redesignate();
+        self.admit_pass(now);
+        self.redesignate(now);
     }
 
     pub(crate) fn stats(&self, id: QueryId) -> QuerySchedStats {
@@ -612,12 +513,8 @@ impl SchedState {
         }
     }
 
-    /// Recompute the designated query from simulated state only. A no-op
-    /// while a turn is in flight: its completion redesignates.
-    fn redesignate(&mut self) {
-        if self.turn_in_flight {
-            return;
-        }
+    /// Recompute the designated query from simulated state only.
+    fn redesignate(&mut self, now: f64) {
         let runnable = |q: &QuerySched| q.arrived && q.admitted && !q.finished;
         let n = self.queries.len() as u32;
         self.designated = match self.policy {
@@ -645,8 +542,8 @@ impl SchedState {
                 .enumerate()
                 .filter(|(_, q)| runnable(q))
                 .min_by(|(ia, a), (ib, b)| {
-                    self.rank(a)
-                        .partial_cmp(&self.rank(b))
+                    self.rank(a, now)
+                        .partial_cmp(&self.rank(b, now))
                         .unwrap()
                         .then(ia.cmp(ib))
                 })
@@ -659,61 +556,98 @@ impl SchedState {
 mod tests {
     use super::*;
 
-    fn session(policy: SchedPolicy, budgets: &[u64], available: u64) -> SchedState {
-        let mut st = SchedState::default();
-        st.start(policy, available, 0.0, QueueLimits::default());
-        for &b in budgets {
-            st.register(1.0, b).unwrap();
+    /// A session plus the device clock it is driven at, advanced the way
+    /// the device's replay advances it.
+    struct Session {
+        st: SchedState,
+        now: f64,
+    }
+
+    impl Session {
+        fn new(policy: SchedPolicy, available: u64, limits: QueueLimits) -> Self {
+            let mut st = SchedState::default();
+            st.start(policy, available, limits);
+            Session { st, now: 0.0 }
         }
-        st.admit_pass();
-        st
+
+        fn with_budgets(policy: SchedPolicy, budgets: &[u64], available: u64) -> Self {
+            let mut s = Session::new(policy, available, QueueLimits::default());
+            for &b in budgets {
+                s.register(1.0, b, 0.0, 0.0).unwrap();
+            }
+            s
+        }
+
+        fn register(
+            &mut self,
+            weight: f64,
+            budget: u64,
+            arrival: f64,
+            predicted: f64,
+        ) -> Result<QueryId, AdmissionError> {
+            let q = QuerySched::new(weight, budget, arrival, predicted, None, None);
+            self.st.register_spec(q, self.now)
+        }
+
+        /// Run one kernel turn of `secs` for the designated query `id`.
+        fn turn(&mut self, id: QueryId, secs: f64) {
+            let start = self.now;
+            self.now += secs;
+            self.st.complete_turn(id, secs, start, self.now);
+        }
+
+        fn retire(&mut self, id: QueryId) {
+            self.st.retire(id, self.now);
+        }
+
+        fn designated(&self) -> Option<QueryId> {
+            self.st.designated()
+        }
     }
 
     #[test]
     fn round_robin_cycles_in_id_order() {
-        let mut st = session(SchedPolicy::RoundRobin, &[10, 10, 10], 100);
+        let mut s = Session::with_budgets(SchedPolicy::RoundRobin, &[10, 10, 10], 100);
         let mut order = Vec::new();
         for _ in 0..6 {
-            let id = st.designated.unwrap();
+            let id = s.designated().unwrap();
             order.push(id);
-            st.complete_turn(id, 1.0);
+            s.turn(id, 1.0);
         }
         assert_eq!(order, vec![0, 1, 2, 0, 1, 2]);
-        st.retire(1);
-        let id = st.designated.unwrap();
+        s.retire(1);
+        let id = s.designated().unwrap();
         assert_eq!(id, 0, "cursor wraps past the retired query");
-        st.complete_turn(id, 1.0);
-        assert_eq!(st.designated, Some(2));
+        s.turn(id, 1.0);
+        assert_eq!(s.designated(), Some(2));
     }
 
     #[test]
     fn serial_runs_to_completion_in_id_order() {
-        let mut st = session(SchedPolicy::Serial, &[10, 10], 100);
+        let mut s = Session::with_budgets(SchedPolicy::Serial, &[10, 10], 100);
         for _ in 0..5 {
-            assert_eq!(st.designated, Some(0));
-            st.complete_turn(0, 1.0);
+            assert_eq!(s.designated(), Some(0));
+            s.turn(0, 1.0);
         }
-        st.retire(0);
-        assert_eq!(st.designated, Some(1));
+        s.retire(0);
+        assert_eq!(s.designated(), Some(1));
         assert_eq!(
-            st.stats(0).completion_secs,
+            s.st.stats(0).completion_secs,
             5.0,
-            "completion is the post-kernel stamp"
+            "completion is the clock at retire"
         );
     }
 
     #[test]
     fn weighted_fair_shares_busy_time_by_weight() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::WeightedFair, 100, 0.0, QueueLimits::default());
-        st.register(3.0, 10).unwrap();
-        st.register(1.0, 10).unwrap();
-        st.admit_pass();
+        let mut s = Session::new(SchedPolicy::WeightedFair, 100, QueueLimits::default());
+        s.register(3.0, 10, 0.0, 0.0).unwrap();
+        s.register(1.0, 10, 0.0, 0.0).unwrap();
         let mut turns = [0u32; 2];
         for _ in 0..8 {
-            let id = st.designated.unwrap();
+            let id = s.designated().unwrap();
             turns[id as usize] += 1;
-            st.complete_turn(id, 1.0);
+            s.turn(id, 1.0);
         }
         assert_eq!(turns, [6, 2], "3:1 weights split equal-cost turns 3:1");
     }
@@ -722,99 +656,82 @@ mod tests {
     fn fifo_admission_blocks_behind_the_head_of_line() {
         // Query 1 does not fit while 0 runs; query 2 would fit but must
         // queue behind 1.
-        let mut st = session(SchedPolicy::RoundRobin, &[60, 60, 10], 100);
-        assert!(st.is_admitted(0));
-        assert!(!st.is_admitted(1));
-        assert!(!st.is_admitted(2), "FIFO: 2 queues behind 1");
-        assert_eq!(st.designated, Some(0));
-        st.retire(0);
-        assert!(st.is_admitted(1));
-        assert!(st.is_admitted(2), "both fit after 0 released its budget");
+        let mut s = Session::with_budgets(SchedPolicy::RoundRobin, &[60, 60, 10], 100);
+        assert!(s.st.is_admitted(0));
+        assert!(!s.st.is_admitted(1));
+        assert!(!s.st.is_admitted(2), "FIFO: 2 queues behind 1");
+        assert_eq!(s.designated(), Some(0));
+        s.retire(0);
+        assert!(s.st.is_admitted(1));
+        assert!(s.st.is_admitted(2), "both fit after 0 released its budget");
+        assert_eq!(s.st.take_admitted(), vec![0, 1, 2], "admission order");
     }
 
     #[test]
     fn future_arrivals_are_invisible_until_the_clock_reaches_them() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::Serial, 100, 0.0, QueueLimits::default());
-        st.register_spec(1.0, 10, 5.0, 0.0).unwrap();
-        st.admit_pass();
-        assert!(!st.is_admitted(0), "query 0 has not arrived yet");
-        assert_eq!(st.designated, None);
+        let mut s = Session::new(SchedPolicy::Serial, 100, QueueLimits::default());
+        s.register(1.0, 10, 5.0, 0.0).unwrap();
+        assert!(!s.st.is_admitted(0), "query 0 has not arrived yet");
+        assert_eq!(s.designated(), None);
 
         // The device is idle with one future arrival: jump to it.
-        let delta = st.begin_idle_advance().expect("idle advance available");
-        assert_eq!(delta, 5.0);
-        assert_eq!(
-            st.begin_idle_advance(),
-            None,
-            "advance is exclusive while in flight"
-        );
-        st.finish_idle_advance(delta);
-        assert!(st.is_admitted(0));
-        assert_eq!(st.designated, Some(0));
-        assert_eq!(st.stats(0).arrival_secs, 5.0);
-        assert_eq!(st.stats(0).admitted_secs, 5.0);
+        let next = s.st.next_arrival(s.now).expect("idle advance available");
+        assert_eq!(next, 5.0);
+        s.now += next - s.now;
+        s.st.arrive(s.now);
+        assert!(s.st.is_admitted(0));
+        assert_eq!(s.designated(), Some(0));
+        assert_eq!(s.st.stats(0).arrival_secs, 5.0);
+        assert_eq!(s.st.stats(0).admitted_secs, 5.0);
     }
 
     #[test]
-    fn kernel_turns_advance_the_clock_mirror_and_admit_arrivals() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::Serial, 100, 0.0, QueueLimits::default());
-        st.register_spec(1.0, 10, 0.0, 0.0).unwrap();
-        st.register_spec(1.0, 10, 2.5, 0.0).unwrap();
-        st.admit_pass();
-        assert_eq!(st.designated, Some(0));
-        assert!(!st.is_admitted(1));
+    fn kernel_turns_advance_the_clock_and_admit_arrivals() {
+        let mut s = Session::new(SchedPolicy::Serial, 100, QueueLimits::default());
+        s.register(1.0, 10, 0.0, 0.0).unwrap();
+        s.register(1.0, 10, 2.5, 0.0).unwrap();
+        assert_eq!(s.designated(), Some(0));
+        assert!(!s.st.is_admitted(1));
 
-        st.complete_turn(0, 1.0);
-        assert!(!st.is_admitted(1), "clock at 1.0 < arrival 2.5");
-        st.complete_turn(0, 2.0);
-        assert!(st.is_admitted(1), "clock at 3.0 >= arrival 2.5");
-        assert_eq!(st.stats(1).admitted_secs, 3.0);
-        assert_eq!(st.designated, Some(0), "serial still runs query 0");
+        s.turn(0, 1.0);
+        assert!(!s.st.is_admitted(1), "clock at 1.0 < arrival 2.5");
+        s.turn(0, 2.0);
+        assert!(s.st.is_admitted(1), "clock at 3.0 >= arrival 2.5");
+        assert_eq!(s.st.stats(1).admitted_secs, 3.0);
+        assert_eq!(s.designated(), Some(0), "serial still runs query 0");
 
-        st.retire(0);
-        assert_eq!(st.designated, Some(1));
-        assert_eq!(
-            st.stats(0).completion_secs,
-            3.0,
-            "stamp tracks the last completed turn"
-        );
-        assert_eq!(
-            st.begin_idle_advance(),
-            None,
-            "no advance while a query is runnable"
-        );
+        s.retire(0);
+        assert_eq!(s.designated(), Some(1));
+        assert_eq!(s.st.stats(0).completion_secs, 3.0);
     }
 
     #[test]
     fn sjf_designates_by_predicted_time() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::Sjf, 100, 0.0, QueueLimits::default());
-        st.register_spec(1.0, 10, 0.0, 5.0).unwrap();
-        st.register_spec(1.0, 10, 0.0, 1.0).unwrap();
-        st.register_spec(1.0, 10, 0.0, 3.0).unwrap();
-        st.admit_pass();
-        assert_eq!(st.designated, Some(1), "smallest predicted time first");
-        st.complete_turn(1, 1.0);
-        st.retire(1);
-        assert_eq!(st.designated, Some(2));
-        st.retire(2);
-        assert_eq!(st.designated, Some(0));
-        st.retire(0);
+        // All three arrive together, after the clock jumps to them.
+        let mut s = Session::new(SchedPolicy::Sjf, 100, QueueLimits::default());
+        s.register(1.0, 10, 1.0, 5.0).unwrap();
+        s.register(1.0, 10, 1.0, 1.0).unwrap();
+        s.register(1.0, 10, 1.0, 3.0).unwrap();
+        s.now = s.st.next_arrival(s.now).unwrap();
+        s.st.arrive(s.now);
+        assert_eq!(s.designated(), Some(1), "smallest predicted time first");
+        s.turn(1, 1.0);
+        s.retire(1);
+        assert_eq!(s.designated(), Some(2));
+        s.retire(2);
+        assert_eq!(s.designated(), Some(0));
+        s.retire(0);
     }
 
     #[test]
     fn sjf_preempts_at_kernel_boundaries() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::Sjf, 100, 0.0, QueueLimits::default());
-        st.register_spec(1.0, 10, 0.0, 10.0).unwrap();
-        st.register_spec(1.0, 10, 0.5, 1.0).unwrap();
-        st.admit_pass();
-        assert_eq!(st.designated, Some(0), "only job in the system");
-        st.complete_turn(0, 1.0);
+        let mut s = Session::new(SchedPolicy::Sjf, 100, QueueLimits::default());
+        s.register(1.0, 10, 0.0, 10.0).unwrap();
+        s.register(1.0, 10, 0.5, 1.0).unwrap();
+        assert_eq!(s.designated(), Some(0), "only job in the system");
+        s.turn(0, 1.0);
         assert_eq!(
-            st.designated,
+            s.designated(),
             Some(1),
             "shorter arrival takes the next turn"
         );
@@ -822,135 +739,130 @@ mod tests {
 
     #[test]
     fn sjf_admits_reservations_in_cost_order() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::Sjf, 100, 0.0, QueueLimits::default());
-        st.register_spec(1.0, 80, 0.0, 9.0).unwrap();
-        st.register_spec(1.0, 80, 0.0, 2.0).unwrap();
-        st.admit_pass();
+        // 0 holds the device while 1 and 2 queue; when it retires, the
+        // shorter job gets the reservation even with a higher id.
+        let mut s = Session::new(SchedPolicy::Sjf, 100, QueueLimits::default());
+        s.register(1.0, 30, 0.0, 1.0).unwrap();
+        s.register(1.0, 80, 0.0, 9.0).unwrap();
+        s.register(1.0, 80, 0.0, 2.0).unwrap();
+        assert!(!s.st.is_admitted(1) && !s.st.is_admitted(2));
+        s.retire(0);
         assert!(
-            !st.is_admitted(0) && st.is_admitted(1),
+            !s.st.is_admitted(1) && s.st.is_admitted(2),
             "the shorter job gets the reservation even with a higher id"
         );
-        st.retire(1);
-        assert!(st.is_admitted(0));
-        st.retire(0);
+        s.retire(2);
+        assert!(s.st.is_admitted(1));
+        s.retire(1);
     }
 
     #[test]
     fn aging_decays_rank_with_waiting_time() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::SjfAging, 100, 0.0, QueueLimits::default());
+        let mut s = Session::new(SchedPolicy::SjfAging, 100, QueueLimits::default());
         // A long job arrives first; short jobs keep arriving behind it.
         // Pure SJF would hand every turn to the freshest short job; aging
         // divides a job's rank by its time in system, so the long job's
         // effective rank decays below a fresh short job's.
-        st.register_spec(1.0, 10, 0.0, 8.0).unwrap(); // long
-        st.register_spec(1.0, 10, 1.0, 1.0).unwrap(); // short @ 1s
-        st.register_spec(1.0, 10, 8.0, 1.0).unwrap(); // short @ 8s
-        st.admit_pass();
-        assert_eq!(st.designated, Some(0), "only arrival so far");
-        st.complete_turn(0, 1.0);
+        s.register(1.0, 10, 0.0, 8.0).unwrap(); // long
+        s.register(1.0, 10, 1.0, 1.0).unwrap(); // short @ 1s
+        s.register(1.0, 10, 8.0, 1.0).unwrap(); // short @ 8s
+        assert_eq!(s.designated(), Some(0), "only arrival so far");
+        s.turn(0, 1.0);
         // Clock 1: the fresh short job (rank 1/1) outranks the barely aged
         // long one (rank 8/2) and preempts it.
-        assert_eq!(st.designated, Some(1));
-        st.complete_turn(1, 1.0);
-        st.retire(1);
-        assert_eq!(st.designated, Some(0));
+        assert_eq!(s.designated(), Some(1));
+        s.turn(1, 1.0);
+        s.retire(1);
+        assert_eq!(s.designated(), Some(0));
         for _ in 0..6 {
-            st.complete_turn(0, 1.0);
+            s.turn(0, 1.0);
         }
         // Clock 8: a brand-new short job arrives (rank 1/1 = 1), but the
         // long job has aged to rank 8/9 < 1 and keeps the device — no
         // starvation.
-        assert_eq!(st.designated, Some(0), "aged long job outranks fresh short");
-        st.complete_turn(0, 1.0);
-        st.retire(0);
-        st.retire(2);
+        assert_eq!(
+            s.designated(),
+            Some(0),
+            "aged long job outranks fresh short"
+        );
+        s.turn(0, 1.0);
+        s.retire(0);
+        s.retire(2);
     }
 
     #[test]
     fn full_queue_sheds_on_arrival() {
-        let mut st = SchedState::default();
-        st.start(
-            SchedPolicy::Serial,
-            100,
-            0.0,
-            QueueLimits {
-                total_depth: Some(1),
-            },
-        );
+        let limits = QueueLimits {
+            total_depth: Some(1),
+        };
+        let mut s = Session::new(SchedPolicy::Serial, 100, limits);
         // 0 takes the whole device; 1 waits (depth 1); 2 finds the waiting
         // room full and is shed.
-        st.register(1.0, 100).unwrap();
-        st.on_register(0);
-        st.register(1.0, 10).unwrap();
-        st.on_register(1);
-        st.register(1.0, 10).unwrap();
-        st.on_register(2);
-        assert!(st.is_admitted(0) && !st.is_shed(0));
-        assert!(!st.is_admitted(1) && !st.is_shed(1), "within depth: waits");
-        assert!(st.is_shed(2), "overflow arrival is shed");
-        let s = st.stats(2);
-        assert!(s.shed);
-        assert_eq!(s.completion_secs, s.arrival_secs);
-        st.retire(0);
-        assert!(st.is_admitted(1), "the queued query still runs");
-        st.retire(1);
-        st.finish();
+        s.register(1.0, 100, 0.0, 0.0).unwrap();
+        s.register(1.0, 10, 0.0, 0.0).unwrap();
+        s.register(1.0, 10, 0.0, 0.0).unwrap();
+        assert!(s.st.is_admitted(0) && !s.st.is_shed(0));
+        assert!(
+            !s.st.is_admitted(1) && !s.st.is_shed(1),
+            "within depth: waits"
+        );
+        assert!(s.st.is_shed(2), "overflow arrival is shed");
+        let stats = s.st.stats(2);
+        assert!(stats.shed);
+        assert_eq!(stats.completion_secs, stats.arrival_secs);
+        s.retire(0);
+        assert!(s.st.is_admitted(1), "the queued query still runs");
+        s.retire(1);
+        s.st.finish();
     }
 
     #[test]
     fn zero_capacity_queue_admits_immediately_or_sheds() {
-        let mut st = SchedState::default();
-        st.start(
-            SchedPolicy::Serial,
-            100,
-            0.0,
-            QueueLimits {
-                total_depth: Some(0),
-            },
-        );
+        let limits = QueueLimits {
+            total_depth: Some(0),
+        };
+        let mut s = Session::new(SchedPolicy::Serial, 100, limits);
         // Fits right away: admitted, never waited, never shed.
-        st.register(1.0, 60).unwrap();
-        st.on_register(0);
-        assert!(st.is_admitted(0) && !st.is_shed(0));
+        s.register(1.0, 60, 0.0, 0.0).unwrap();
+        assert!(s.st.is_admitted(0) && !s.st.is_shed(0));
         // Would have to wait: shed on the spot.
-        st.register(1.0, 60).unwrap();
-        st.on_register(1);
-        assert!(st.is_shed(1));
-        st.retire(0);
-        st.finish();
+        s.register(1.0, 60, 0.0, 0.0).unwrap();
+        assert!(s.st.is_shed(1));
+        s.retire(0);
+        s.st.finish();
     }
 
     #[test]
-    fn retire_during_a_turn_keeps_the_designation() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::Sjf, 100, 0.0, QueueLimits::default());
-        st.register_spec(1.0, 60, 0.0, 5.0).unwrap(); // B
-        st.on_register(0);
-        st.register_spec(1.0, 40, 0.5, 2.0).unwrap(); // A
-        st.on_register(1);
-        assert_eq!(st.designated, Some(0));
-        st.complete_turn(0, 0.5); // B's last turn; A arrives and preempts
-        assert_eq!(st.designated, Some(1));
-        // A's worker takes its turn.
-        assert!(st.take_turn(1));
-        // D arrives mid-turn, ranks lowest, and queues behind B's budget.
-        st.register_spec(1.0, 50, 0.5, 1.0).unwrap(); // D
-        st.on_register(2);
-        assert!(!st.is_admitted(2));
-        st.retire(0); // admits D, but A's turn is in flight
-        assert!(st.is_admitted(2));
-        assert_eq!(st.designated, Some(1), "designation fixed mid-turn");
-        st.complete_turn(1, 1.0);
-        assert_eq!(st.designated, Some(2), "D takes the next turn");
+    fn retire_at_the_last_kernel_admits_at_that_clock() {
+        // B holds 60 of 100 bytes; A (40) and D (50) arrive together at
+        // the end of B's last kernel. D ranks first but does not fit
+        // beside B, so both wait. The replay retires B right after that
+        // kernel's turn, so D is admitted at exactly that clock and takes
+        // the next turn.
+        let mut s = Session::new(SchedPolicy::Sjf, 100, QueueLimits::default());
+        let b = s.register(1.0, 60, 0.0, 5.0).unwrap();
+        let a = s.register(1.0, 40, 0.5, 2.0).unwrap();
+        let d = s.register(1.0, 50, 0.5, 1.0).unwrap();
+        assert_eq!(s.st.take_admitted(), vec![b]);
+        s.turn(b, 0.25);
+        s.turn(b, 0.25); // B's last kernel; A and D arrive
+        assert!(!s.st.is_admitted(a) && !s.st.is_admitted(d));
+        assert_eq!(s.designated(), Some(b));
+        s.retire(b);
+        assert_eq!(s.st.stats(b).completion_secs, 0.5);
+        assert_eq!(s.st.take_admitted(), vec![d, a], "SJF admission order");
+        assert_eq!(s.st.stats(d).admitted_secs, 0.5);
+        assert_eq!(s.st.stats(a).admitted_secs, 0.5);
+        assert_eq!(s.designated(), Some(d), "D takes the next turn");
+        s.turn(d, 1.0);
+        s.retire(d);
+        assert_eq!(s.designated(), Some(a));
     }
 
     #[test]
     fn oversized_budget_is_rejected_at_registration() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::Serial, 100, 0.0, QueueLimits::default());
-        let err = st.register(1.0, 101).unwrap_err();
+        let mut s = Session::new(SchedPolicy::Serial, 100, QueueLimits::default());
+        let err = s.register(1.0, 101, 0.0, 0.0).unwrap_err();
         assert_eq!(err.requested_bytes, 101);
         assert_eq!(err.available_bytes, 100);
         assert!(err.to_string().contains("exceeds"));

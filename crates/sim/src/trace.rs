@@ -5,7 +5,8 @@
 //! timelines (Table 5). This module records the same evidence from the
 //! simulator: timestamped events on the **simulated clock**, captured while
 //! the device lock is held so recording is deterministic and bit-identical
-//! across reruns, whatever order the query worker threads run in.
+//! across reruns. In a scheduling session a query's kernels land in its own
+//! trace at launch and in the base trace when the scheduler replays them.
 //!
 //! Three event classes:
 //!
@@ -24,8 +25,7 @@
 //! Tracing is opt-in per device ([`crate::Device::enable_tracing`]) and
 //! costs nothing when disabled: every record point checks an `Option` that
 //! is `None` by default. Because events are derived from state that is
-//! already bit-identical across host-thread counts, the exported bytes are
-//! too.
+//! already bit-identical across reruns, the exported bytes are too.
 //!
 //! Exporters:
 //!
@@ -156,8 +156,8 @@ pub enum LifecycleStage {
     PlanCacheMiss,
     /// One contiguous run of kernel turns designated to this query (span).
     ExecSlice,
-    /// Runnable but not designated by the turn gate: wall time spent
-    /// waiting on co-tenants' kernels or idle advances (span).
+    /// Admitted but not designated by the scheduler: simulated time spent
+    /// waiting on co-tenants' kernels (span).
     Interference,
     /// The query retired (instant).
     Complete,

@@ -256,6 +256,23 @@ echo "==> admission smoke (m03_admission --scale 14 --metrics --explain)"
     tail -40 "$smoke_dir/m03.log"
     exit 1
 }
+# Rerun determinism: a second run of the same configuration must export
+# byte-identical metrics. Retire-triggered admissions under the SJF
+# policies land in queue-depth series and admission timestamps, so this
+# catches any scheduling decision that depends on host timing.
+(cd "$smoke_dir" \
+    && cargo run --release --quiet --manifest-path "$repo_dir/Cargo.toml" \
+        -p bench --bin m03_admission -- --scale 14 --reps 1 \
+        --metrics metrics_m03_rerun.json >m03_rerun.log 2>&1) || {
+    echo "m03_admission rerun failed; tail of log:"
+    tail -40 "$smoke_dir/m03_rerun.log"
+    exit 1
+}
+cmp "$smoke_dir/metrics_m03.json" "$smoke_dir/metrics_m03_rerun.json" || {
+    echo "m03_admission smoke: metrics export differs across reruns"
+    exit 1
+}
+echo "    m03 metrics export byte-identical across reruns"
 # The three headline findings: the SJF p99 win at equal goodput, the
 # shed/reject accounting, and the plan-cache hit rates.
 grep -q "SJF cuts the short class's p99" "$smoke_dir/m03.log" || {

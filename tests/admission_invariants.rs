@@ -372,13 +372,17 @@ proptest! {
 }
 
 proptest! {
-    // Ten sessions per case (5 policies × 2 runs): fewer cases.
+    // Twenty sessions per case (5 policies × 2 budget sets × 2 runs):
+    // fewer cases.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Full-export byte-identity across reruns of the same configuration,
     /// under *every* policy — including the shortest-job pair — with a
     /// bounded queue in force so shed accounting is part of the compared
-    /// bytes.
+    /// bytes. Each schedule also runs with every budget at half the free
+    /// pool: at most two queries hold reservations, so most admissions are
+    /// triggered by a retire, and under Sjf/SjfAging the retiring query is
+    /// often one a shorter arrival preempted at its last kernel boundary.
     #[test]
     fn exports_are_byte_identical_across_host_threads_for_every_policy(
         schedule in schedule_strategy(5),
@@ -388,11 +392,17 @@ proptest! {
         if let Some(d) = depth {
             serving = serving.with_total_depth(d);
         }
-        for policy in all_policies() {
+        for (policy, tight) in all_policies().into_iter().flat_map(|p| [(p, false), (p, true)]) {
             let run = || -> (String, String) {
                 let dev = device();
                 let cat = catalog(&dev);
-                let arrivals = arrivals_of(&schedule, dev.elapsed().secs());
+                let mut arrivals = arrivals_of(&schedule, dev.elapsed().secs());
+                if tight {
+                    let free = dev.mem_capacity() - dev.mem_report().current_bytes;
+                    for a in &mut arrivals {
+                        a.spec.budget_bytes = Some(free / 2);
+                    }
+                }
                 let reports = engine::run_open_loop_with(&dev, &cat, arrivals, policy, &serving);
                 for r in &reports {
                     if let Err(e) = &r.result {
@@ -407,7 +417,13 @@ proptest! {
                 let snaps = std::slice::from_ref(&snap);
                 (openmetrics(snaps), metrics_json(snaps))
             };
-            prop_assert_eq!(run(), run(), "{:?}: exports differ across reruns", policy);
+            prop_assert_eq!(
+                run(),
+                run(),
+                "{:?} (tight budgets: {}): exports differ across reruns",
+                policy,
+                tight
+            );
         }
     }
 }
