@@ -3,11 +3,11 @@
 //! `execute` lowers the logical [`Plan`] to a physical operator tree
 //! ([`crate::op::compile`]) and runs it through the uniform driver
 //! ([`crate::op::run_operator`]): columns move between operators as
-//! zero-cost aliases (pointer passing); every operator's device work —
-//! predicate kernels, compaction gathers, joins, aggregations — is charged
-//! to the shared simulated device, and each node comes back with the shared
-//! [`sim::OpStats`] record (times, rows, peak memory, hardware counters) as
-//! a [`NodeStats`] tree.
+//! zero-cost aliases (pointer passing, sharing the host storage too);
+//! every operator's device work — predicate kernels, compaction gathers,
+//! joins, aggregations — is charged to the shared simulated device, and
+//! each node comes back with the shared [`sim::OpStats`] record (times,
+//! rows, peak memory, hardware counters) as a [`NodeStats`] tree.
 
 use crate::op::{compile, compile_unfused, run_operator, ExecContext};
 use crate::{EngineError, Plan, Table};

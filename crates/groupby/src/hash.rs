@@ -11,8 +11,9 @@ use columnar::{Column, ColumnElement, Relation};
 use primitives::{GLOBAL_HASH_WARP_INSTR, STREAM_WARP_INSTR};
 use sim::{Device, DeviceBuffer, PhaseTimes};
 
+/// Multiplicative hash into `mask + 1` slots (Fibonacci hashing).
 #[inline]
-fn slot_of(key: u64, mask: usize) -> usize {
+pub(crate) fn slot_of(key: u64, mask: usize) -> usize {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
 }
 
@@ -57,34 +58,36 @@ pub fn hash_groupby(
         let mut row_group = dev.alloc::<u32>(n, "hash_gb.row_group");
 
         // Group finding: one pass assigning each row its group id, chasing
-        // random table slots.
+        // random table slots. The loop is the address stream: every slot a
+        // row inspects is one lane of the load charge.
         let t0 = dev.elapsed();
         {
-            let mut touched: Vec<u64> = Vec::with_capacity(n);
-            for i in 0..n {
-                let k = keys[i].to_radix();
-                let mut s = slot_of(k, mask);
-                let g = loop {
-                    touched.push(table_keys.addr_of(s));
-                    match occupied[s] {
-                        u32::MAX => {
-                            let g = group_keys.len() as u32;
-                            occupied[s] = g;
-                            group_keys.push(keys[i]);
-                            group_counts.push(0);
-                            break g;
-                        }
-                        g if group_keys[g as usize] == keys[i] => break g,
-                        _ => s = (s + 1) & mask,
-                    }
-                };
-                group_counts[g as usize] += 1;
-                row_group[i] = g;
-            }
+            let (keys, row_group) = (keys.as_slice(), row_group.as_mut_slice());
             dev.kernel("hash_gb.build")
                 .items(n as u64, GLOBAL_HASH_WARP_INSTR)
                 .seq_read_bytes(n as u64 * K::SIZE)
-                .warp_loads(12, touched)
+                .warp_loads_with(12, |lanes| {
+                    for (i, &key) in keys.iter().enumerate() {
+                        let k = key.to_radix();
+                        let mut s = slot_of(k, mask);
+                        let g = loop {
+                            lanes.push(table_keys.addr_of(s));
+                            match occupied[s] {
+                                u32::MAX => {
+                                    let g = group_keys.len() as u32;
+                                    occupied[s] = g;
+                                    group_keys.push(key);
+                                    group_counts.push(0);
+                                    break g;
+                                }
+                                g if group_keys[g as usize] == key => break g,
+                                _ => s = (s + 1) & mask,
+                            }
+                        };
+                        group_counts[g as usize] += 1;
+                        row_group[i] = g;
+                    }
+                })
                 .seq_write_bytes(n as u64 * 4)
                 .launch();
         }
@@ -104,12 +107,11 @@ pub fn hash_groupby(
         let mut aggregates = Vec::with_capacity(aggs.len());
         for (j, agg) in aggs.iter().enumerate() {
             let col = input.payload(j);
-            let accs = dev.alloc::<i64>(groups, "hash_gb.accs");
-            let mut accs = accs;
-            accs.as_mut_slice().fill(agg.identity());
-            for i in 0..n {
-                let g = row_group[i] as usize;
-                accs[g] = agg.fold(accs[g], col.value(i));
+            let mut accs = dev.alloc::<i64>(groups, "hash_gb.accs");
+            let acc = accs.as_mut_slice();
+            acc.fill(agg.identity());
+            for (i, &g) in row_group.iter().enumerate() {
+                acc[g as usize] = agg.fold(acc[g as usize], col.value(i));
             }
             if privatized {
                 dev.kernel("hash_gb.aggregate.privatized")
@@ -120,9 +122,7 @@ pub fn hash_groupby(
                     .atomics(blocks * groups as u64, blocks)
                     .launch();
             } else {
-                let accs_addrs: Vec<u64> = (0..n)
-                    .map(|i| accs.addr_of(row_group[i] as usize))
-                    .collect();
+                let accs_addrs = row_group.iter().map(|&g| accs.addr_of(g as usize));
                 dev.kernel("hash_gb.aggregate.global")
                     .items(n as u64, STREAM_WARP_INSTR)
                     .seq_read_bytes(n as u64 * (col.dtype().size() + 4))

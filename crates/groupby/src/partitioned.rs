@@ -6,12 +6,11 @@
 //! layouts identical) and aggregates each with a streaming pass; GFUR
 //! partitions `(key, ID)` once and fetches values with unclustered gathers.
 
-use crate::hash::dispatch_key_column;
+use crate::hash::{dispatch_key_column, slot_of};
 use crate::{AggFn, GroupByAlgorithm, GroupByConfig, GroupByOutput, GroupByStats};
 use columnar::{Column, ColumnElement, Relation};
 use primitives::{gather_column, radix_partition, BUILD_WARP_INSTR, STREAM_WARP_INSTR};
 use sim::{Device, DeviceBuffer, PhaseTimes};
-use std::collections::HashMap;
 
 /// Partition one payload column with the keys.
 fn partition_col_with_key<K: ColumnElement>(
@@ -65,7 +64,7 @@ pub fn partitioned_groupby(
         // Transformation: partition keys with col_0 (GFTR) or with IDs
         // (GFUR). Offsets come from the partitioner's histogram + scan.
         let t0 = dev.elapsed();
-        let (part_keys, mut first_col, part_ids, _offsets) = if gftr && !input.payloads().is_empty()
+        let (part_keys, mut first_col, part_ids, offsets) = if gftr && !input.payloads().is_empty()
         {
             let (k, c, off) = partition_col_with_key(dev, keys, input.payload(0), bits);
             (k, Some(c), None, off)
@@ -87,23 +86,36 @@ pub fn partitioned_groupby(
         let mut group_keys: Vec<K> = Vec::new();
         let mut row_group: Vec<u32> = Vec::with_capacity(n);
         {
-            // Partitions are contiguous; a single scan suffices because the
-            // partition boundary only resets the (simulated) shared table.
-            let mut local: HashMap<u64, u32> = HashMap::new();
-            let mask = (1u64 << bits) - 1;
-            let mut current_part = u64::MAX;
-            for pk in part_keys.iter() {
-                let part = pk.to_radix() & mask;
-                if part != current_part {
-                    local.clear();
-                    current_part = part;
+            // Partitions are contiguous and a key's partition is its low
+            // radix bits, so one reusable open-addressing table of (radix
+            // key, group id), reset at each partition like the simulated
+            // shared-memory table, finds every group. Ids are assigned in
+            // first-seen order.
+            let mut table: Vec<(u64, u32)> = Vec::new();
+            let part_keys = part_keys.as_slice();
+            for bounds in offsets.windows(2) {
+                let rows = &part_keys[bounds[0] as usize..bounds[1] as usize];
+                let slots = (rows.len() * 2).next_power_of_two();
+                let mask = slots - 1;
+                table.clear();
+                table.resize(slots, (0, u32::MAX));
+                for &pk in rows {
+                    let k = pk.to_radix();
+                    let mut s = slot_of(k, mask);
+                    let g = loop {
+                        match table[s] {
+                            (_, u32::MAX) => {
+                                let g = group_keys.len() as u32;
+                                table[s] = (k, g);
+                                group_keys.push(pk);
+                                break g;
+                            }
+                            (key, g) if key == k => break g,
+                            _ => s = (s + 1) & mask,
+                        }
+                    };
+                    row_group.push(g);
                 }
-                let g = *local.entry(pk.to_radix()).or_insert_with(|| {
-                    let g = group_keys.len() as u32;
-                    group_keys.push(*pk);
-                    g
-                });
-                row_group.push(g);
             }
             dev.kernel("part_gb.group_find")
                 .items(n as u64, BUILD_WARP_INSTR)
@@ -135,9 +147,8 @@ pub fn partitioned_groupby(
             // Streaming fold into shared-memory accumulators (group ids are
             // partition-local on hardware; charged as a streaming pass).
             let mut accs = vec![agg.identity(); groups];
-            for i in 0..ordered.len() {
-                let g = row_group[i] as usize;
-                accs[g] = agg.fold(accs[g], ordered.value(i));
+            for (i, &g) in row_group.iter().enumerate() {
+                accs[g as usize] = agg.fold(accs[g as usize], ordered.value(i));
             }
             dev.kernel("part_gb.aggregate")
                 .items(n as u64, STREAM_WARP_INSTR)

@@ -88,6 +88,8 @@ fn bucket_partition<K: ColumnElement>(
     // Blocks race to append; the seeded schedule decides the interleaving.
     const BLOCK_TUPLES: usize = 4096;
     let num_blocks = n.div_ceil(BLOCK_TUPLES);
+    let (keys, ids) = (keys.as_slice(), ids.as_slice());
+    let (pool_k, pool_i) = (pool_keys.as_mut_slice(), pool_ids.as_mut_slice());
     for b in scheduled_blocks(num_blocks, config.scheduler_seed) {
         let lo = b * BLOCK_TUPLES;
         let hi = (lo + BLOCK_TUPLES).min(n);
@@ -104,8 +106,8 @@ fn bucket_partition<K: ColumnElement>(
             }
             let slot = chains[p].last_mut().expect("chain has a bucket");
             let pos = slot.0 as usize + slot.1 as usize;
-            pool_keys[pos] = keys[i];
-            pool_ids[pos] = ids[i];
+            pool_k[pos] = keys[i];
+            pool_i[pos] = ids[i];
             slot.1 += 1;
         }
     }
@@ -146,6 +148,8 @@ fn bucket_join<K: ColumnElement>(
     let mut build_reads = 0u64;
     let mut probe_reads = 0u64;
 
+    let (r_keys, r_ids) = (r.pool_keys.as_slice(), r.pool_ids.as_slice());
+    let (s_keys, s_ids) = (s.pool_keys.as_slice(), s.pool_ids.as_slice());
     for (rp, sp) in r.chains.iter().zip(&s.chains) {
         if rp.is_empty() || sp.is_empty() {
             continue;
@@ -158,12 +162,12 @@ fn bucket_join<K: ColumnElement>(
             table.resize(slots, (u64::MAX, u32::MAX));
             for off in 0..r_len as usize {
                 let pos = r_start as usize + off;
-                let k = r.pool_keys[pos].to_radix();
+                let k = r_keys[pos].to_radix();
                 let mut h = (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize & mask;
                 while table[h].1 != u32::MAX {
                     h = (h + 1) & mask;
                 }
-                table[h] = (k, r.pool_ids[pos]);
+                table[h] = (k, r_ids[pos]);
             }
             build_reads += r_len as u64;
 
@@ -171,14 +175,14 @@ fn bucket_join<K: ColumnElement>(
             for &(s_start, s_len) in sp {
                 for off in 0..s_len as usize {
                     let pos = s_start as usize + off;
-                    let sk = s.pool_keys[pos];
+                    let sk = s_keys[pos];
                     let k = sk.to_radix();
                     let mut h = (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize & mask;
                     while table[h].1 != u32::MAX {
                         if table[h].0 == k {
                             out_keys.push(sk);
                             out_r.push(table[h].1);
-                            out_s.push(s.pool_ids[pos]);
+                            out_s.push(s_ids[pos]);
                         }
                         h = (h + 1) & mask;
                     }

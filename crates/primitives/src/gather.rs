@@ -23,26 +23,22 @@ pub fn gather<T: Element>(
     map: &DeviceBuffer<u32>,
 ) -> DeviceBuffer<T> {
     let n = map.len();
+    let (src_host, map_host) = (src.as_slice(), map.as_slice());
     let mut out = Vec::with_capacity(n);
-    // Precompute the data-read address stream alongside the host copy, so
-    // the simulator's (possibly multi-threaded) traffic accounting consumes
-    // a flat slice instead of re-chasing the map per address.
-    let mut data_addrs = Vec::with_capacity(n);
-    for (i, &m) in map.iter().enumerate() {
+    for (i, &m) in map_host.iter().enumerate() {
         assert!(
-            (m as usize) < src.len(),
+            (m as usize) < src_host.len(),
             "gather map[{i}] = {m} out of bounds for source of {} rows",
-            src.len()
+            src_host.len()
         );
-        out.push(src[m as usize]);
-        data_addrs.push(src.addr_of(m as usize));
+        out.push(src_host[m as usize]);
     }
     dev.kernel("gather")
         .items(n as u64, GATHER_WARP_INSTR)
         // The map itself is streamed with coalesced warp loads.
         .warp_loads(4, (0..n).map(|i| map.addr_of(i)))
         // The data reads coalesce only as well as the map is clustered.
-        .warp_loads(T::SIZE, data_addrs)
+        .warp_loads(T::SIZE, map_host.iter().map(|&m| src.addr_of(m as usize)))
         .seq_write_bytes(n as u64 * T::SIZE)
         .launch();
     dev.upload(out, "gather.out")
@@ -57,23 +53,19 @@ pub fn scatter<T: Element>(
     out_len: usize,
 ) -> DeviceBuffer<T> {
     assert_eq!(src.len(), map.len(), "scatter source/map length mismatch");
-    let mut out = vec![T::default(); out_len];
-    let out_buf = dev.alloc::<T>(out_len, "scatter.out");
-    let mut store_addrs = Vec::with_capacity(map.len());
-    for (i, &m) in map.iter().enumerate() {
+    let mut out_buf = dev.alloc::<T>(out_len, "scatter.out");
+    let out = out_buf.as_mut_slice();
+    for (i, (&m, &v)) in map.iter().zip(src.iter()).enumerate() {
         assert!(
             (m as usize) < out_len,
             "scatter map[{i}] = {m} out of bounds for output of {out_len} rows"
         );
-        out[m as usize] = src[i];
-        store_addrs.push(out_buf.addr_of(m as usize));
+        out[m as usize] = v;
     }
-    let mut out_buf = out_buf;
-    out_buf.as_mut_slice().copy_from_slice(&out);
     dev.kernel("scatter")
         .items(src.len() as u64, GATHER_WARP_INSTR)
         .seq_read_bytes(src.len() as u64 * (T::SIZE + 4))
-        .warp_stores(T::SIZE, store_addrs)
+        .warp_stores(T::SIZE, map.iter().map(|&m| out_buf.addr_of(m as usize)))
         .launch();
     out_buf
 }
@@ -91,22 +83,25 @@ pub fn gather_or<T: Element>(
     fallback: T,
 ) -> DeviceBuffer<T> {
     let n = map.len();
+    let (src_host, map_host) = (src.as_slice(), map.as_slice());
     let mut out = Vec::with_capacity(n);
-    // Null lanes issue no memory traffic, so they contribute no address.
-    let mut data_addrs = Vec::with_capacity(n);
-    for (i, &m) in map.iter().enumerate() {
+    for (i, &m) in map_host.iter().enumerate() {
         if m == NULL_ID {
             out.push(fallback);
         } else {
             assert!(
-                (m as usize) < src.len(),
+                (m as usize) < src_host.len(),
                 "gather map[{i}] = {m} out of bounds for source of {} rows",
-                src.len()
+                src_host.len()
             );
-            out.push(src[m as usize]);
-            data_addrs.push(src.addr_of(m as usize));
+            out.push(src_host[m as usize]);
         }
     }
+    // Null lanes issue no memory traffic, so they contribute no address.
+    let data_addrs = map_host
+        .iter()
+        .filter(|&&m| m != NULL_ID)
+        .map(|&m| src.addr_of(m as usize));
     dev.kernel("gather_or")
         .items(n as u64, GATHER_WARP_INSTR)
         .warp_loads(4, (0..n).map(|i| map.addr_of(i)))

@@ -86,6 +86,7 @@ pub fn join_copartitions<K: Element + Eq>(
 
     let mut probe_tuples_read = 0u64;
     let mut build_tuples_read = 0u64;
+    let (r_keys, s_keys) = (r_keys.as_slice(), s_keys.as_slice());
 
     for p in 0..parts {
         let r_range = r_offsets[p] as usize..r_offsets[p + 1] as usize;
@@ -109,8 +110,8 @@ pub fn join_copartitions<K: Element + Eq>(
             let mask = slots - 1;
             table.clear();
             table.resize(slots, (u64::MAX, u32::MAX));
-            for gi in chunk_start..chunk_end {
-                let k = r_keys[gi].to_radix();
+            for (gi, rk) in (chunk_start..chunk_end).zip(&r_keys[chunk_start..chunk_end]) {
+                let k = rk.to_radix();
                 let mut s = slot_of(k, mask);
                 while table[s].1 != u32::MAX {
                     s = (s + 1) & mask;
@@ -187,25 +188,31 @@ impl<K: Element + Eq> GlobalHashTable<K> {
 
     /// Build the table from `build_keys`, storing each key's position.
     pub fn build(&mut self, dev: &Device, build_keys: &DeviceBuffer<K>) {
-        let mut touched: Vec<u64> = Vec::with_capacity(build_keys.len());
-        for (i, bk) in build_keys.iter().enumerate() {
-            let k = bk.to_radix();
-            let mut s = slot_of(k, self.mask);
-            loop {
-                touched.push(self.keys.addr_of(s));
-                if !self.occupied[s] {
-                    self.occupied[s] = true;
-                    self.keys[s] = k;
-                    self.vals[s] = i as u32;
-                    break;
-                }
-                s = (s + 1) & self.mask;
-            }
-        }
+        let mask = self.mask;
+        let slot_addr = self.keys.addr_of(0);
+        let (keys, vals) = (self.keys.as_mut_slice(), self.vals.as_mut_slice());
+        let occupied = &mut self.occupied;
         dev.kernel("global_ht.build")
             .items(build_keys.len() as u64, GLOBAL_HASH_WARP_INSTR)
             .seq_read_bytes(build_keys.len() as u64 * K::SIZE)
-            .warp_stores(12, touched)
+            // The insert loop is the address stream: every slot an insert
+            // inspects is one lane of the store charge.
+            .warp_stores_with(12, |lanes| {
+                for (i, bk) in build_keys.iter().enumerate() {
+                    let k = bk.to_radix();
+                    let mut s = slot_of(k, mask);
+                    loop {
+                        lanes.push(slot_addr + s as u64 * 8);
+                        if !occupied[s] {
+                            occupied[s] = true;
+                            keys[s] = k;
+                            vals[s] = i as u32;
+                            break;
+                        }
+                        s = (s + 1) & mask;
+                    }
+                }
+            })
             .launch();
     }
 
@@ -216,28 +223,33 @@ impl<K: Element + Eq> GlobalHashTable<K> {
         let mut keys = Vec::new();
         let mut r_idx = Vec::new();
         let mut s_idx = Vec::new();
-        let mut touched: Vec<u64> = Vec::with_capacity(probe_keys.len());
-        for (j, pk) in probe_keys.iter().enumerate() {
-            let k = pk.to_radix();
-            let mut s = slot_of(k, self.mask);
-            loop {
-                touched.push(self.keys.addr_of(s));
-                if !self.occupied[s] {
-                    break;
-                }
-                if self.keys[s] == k {
-                    keys.push(*pk);
-                    r_idx.push(self.vals[s]);
-                    s_idx.push(j as u32);
-                }
-                s = (s + 1) & self.mask;
-            }
-        }
-        let out_rows = keys.len() as u64;
-        dev.kernel("global_ht.probe")
+        let mask = self.mask;
+        let (table_keys, vals) = (self.keys.as_slice(), self.vals.as_slice());
+        let kernel = dev
+            .kernel("global_ht.probe")
             .items(probe_keys.len() as u64, GLOBAL_HASH_WARP_INSTR)
             .seq_read_bytes(probe_keys.len() as u64 * K::SIZE)
-            .warp_loads(12, touched)
+            // As in `build`, the probe loop streams the inspected slots.
+            .warp_loads_with(12, |lanes| {
+                for (j, &pk) in probe_keys.iter().enumerate() {
+                    let k = pk.to_radix();
+                    let mut s = slot_of(k, mask);
+                    loop {
+                        lanes.push(self.keys.addr_of(s));
+                        if !self.occupied[s] {
+                            break;
+                        }
+                        if table_keys[s] == k {
+                            keys.push(pk);
+                            r_idx.push(vals[s]);
+                            s_idx.push(j as u32);
+                        }
+                        s = (s + 1) & mask;
+                    }
+                }
+            });
+        let out_rows = keys.len() as u64;
+        kernel
             .seq_write_bytes(out_rows * (K::SIZE + 4 + 4))
             .launch();
         MatchResult {

@@ -65,6 +65,7 @@ pub fn radix_partition_pass<K: Element, V: Element>(
 
     // Histogram kernel: one streaming read of the keys. Per-block histograms
     // live in shared memory; the global merge is tiny.
+    let (keys, vals) = (keys.as_slice(), vals.as_slice());
     let mut hist = vec![0u32; buckets];
     for k in keys.iter() {
         hist[((k.to_radix() >> shift) & mask) as usize] += 1;

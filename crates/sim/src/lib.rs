@@ -84,9 +84,9 @@ pub use analysis::{
 pub use config::DeviceConfig;
 pub use counters::{Counters, CountersDelta};
 pub use element::Element;
-pub use kernel::KernelBuilder;
+pub use kernel::{KernelBuilder, WarpLanes};
 pub use l2::L2Cache;
-pub use memory::{DeviceBuffer, MemReport};
+pub use memory::{DeviceBuffer, MemReport, Reservation};
 pub use metrics::{
     metrics_json, openmetrics, secs_to_ticks, HdrHistogram, MetricsRegistry, MetricsSnapshot,
     QueryLifecycle, SECONDS_SCALE,
@@ -583,6 +583,14 @@ impl Device {
     /// inputs resident).
     pub fn upload<T: Element>(&self, data: Vec<T>, label: &'static str) -> DeviceBuffer<T> {
         DeviceBuffer::from_vec(self.clone(), data, label)
+    }
+
+    /// Charge `bytes` of device memory to the ledger without host storage:
+    /// the same current, peak, live count and address range as an
+    /// [`alloc`](Device::alloc) of those bytes, credited when the
+    /// [`Reservation`] drops.
+    pub fn reserve(&self, bytes: u64, label: &'static str) -> Reservation {
+        Reservation::new(self.clone(), bytes, label)
     }
 
     // --- Multi-query scheduling session (see the `sched` module) ---

@@ -1,13 +1,18 @@
 //! Device-memory ledger and RAII buffers.
 //!
 //! Every intermediate a join or aggregation allocates goes through
-//! [`DeviceBuffer`], so peak usage (Table 5 of the paper, and the analytic
+//! [`DeviceBuffer`] (or, for memory nothing reads, a host-less
+//! [`Reservation`]), so peak usage (Table 5 of the paper, and the analytic
 //! model of Tables 1-2) falls out of the simulation for free. Buffers also
 //! carry a fake, monotonically increasing base address so the L2 model can
 //! distinguish sectors of different buffers.
+//!
+//! The host holds only the bytes the simulation reads: an alias shares its
+//! source's host storage, and a reservation holds none.
 
 use crate::{Device, Element};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// CUDA's `cudaMalloc` alignment.
 const ALLOC_ALIGN: u64 = 256;
@@ -109,25 +114,21 @@ impl MemLedger {
     }
 }
 
-/// A typed allocation in simulated device memory.
-///
-/// Dereferences to a slice for host-side algorithm execution; the memory
-/// ledger is charged on construction and credited on drop. The buffer's
-/// *simulated address* ([`DeviceBuffer::addr_of`]) feeds the coalescing and
-/// L2 models.
-pub struct DeviceBuffer<T: Element> {
-    data: Vec<T>,
+/// A charge against the device-memory ledger: a simulated address range
+/// of `bytes`, credited back exactly once on drop. It holds no host storage
+/// — the form for memory the simulation accounts for but never reads (the
+/// joins' pre-allocated output, Section 5.2.6 of the paper). Obtain one
+/// with [`Device::reserve`]; every [`DeviceBuffer`] carries one too.
+pub struct Reservation {
     base_addr: u64,
-    /// Bytes charged to the ledger at construction; freed exactly once on
-    /// drop even if the data vector is moved out via [`DeviceBuffer::into_vec`].
+    /// Bytes charged at construction (0 for an alias view); credited on drop.
     charged_bytes: u64,
     label: &'static str,
     dev: Device,
 }
 
-impl<T: Element> DeviceBuffer<T> {
-    pub(crate) fn from_vec(dev: Device, data: Vec<T>, label: &'static str) -> Self {
-        let bytes = data.len() as u64 * T::SIZE;
+impl Reservation {
+    pub(crate) fn new(dev: Device, bytes: u64, label: &'static str) -> Self {
         let mut st = dev.inner.state.lock();
         let capacity = match dev.query {
             Some(q) => st.queries[q as usize].budget_bytes,
@@ -163,12 +164,71 @@ impl<T: Element> DeviceBuffer<T> {
         };
         st.on_mem(dev.query);
         drop(st);
-        DeviceBuffer {
-            data,
+        Reservation {
             base_addr,
             charged_bytes: bytes,
             label,
             dev,
+        }
+    }
+
+    /// A second handle on the same address range that charges nothing.
+    fn view(&self) -> Reservation {
+        Reservation {
+            base_addr: self.base_addr,
+            charged_bytes: 0,
+            label: self.label,
+            dev: self.dev.clone(),
+        }
+    }
+}
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        // Zero-charged drops (aliases, empty buffers) never moved the
+        // ledger, so they produce no timeline sample either.
+        if self.charged_bytes == 0 {
+            return;
+        }
+        let mut st = self.dev.inner.state.lock();
+        // A query buffer may legally outlive its scheduling session (the
+        // next sched_start clears the per-query slots), in which case the
+        // credit has nowhere to go and is dropped.
+        if self
+            .dev
+            .query
+            .is_some_and(|q| q as usize >= st.queries.len())
+        {
+            return;
+        }
+        st.scope(self.dev.query).mem.free(self.charged_bytes);
+        st.on_mem(self.dev.query);
+    }
+}
+
+/// A typed allocation in simulated device memory.
+///
+/// Dereferences to a slice for host-side algorithm execution; the memory
+/// ledger is charged on construction and credited on drop. The buffer's
+/// *simulated address* ([`DeviceBuffer::addr_of`]) feeds the coalescing and
+/// L2 models.
+///
+/// Host storage is shared between a buffer and its aliases
+/// ([`DeviceBuffer::alias`]) and copied on the first write through a handle
+/// that shares it, so every handle stays independent. Reads cost two
+/// pointer hops; hot loops bind [`DeviceBuffer::as_slice`] (or
+/// [`DeviceBuffer::as_mut_slice`]) once rather than index the buffer.
+pub struct DeviceBuffer<T: Element> {
+    data: Arc<Vec<T>>,
+    mem: Reservation,
+}
+
+impl<T: Element> DeviceBuffer<T> {
+    pub(crate) fn from_vec(dev: Device, data: Vec<T>, label: &'static str) -> Self {
+        let mem = Reservation::new(dev, data.len() as u64 * T::SIZE, label);
+        DeviceBuffer {
+            data: Arc::new(data),
+            mem,
         }
     }
 
@@ -194,94 +254,66 @@ impl<T: Element> DeviceBuffer<T> {
     /// Simulated device address of element `i`.
     #[inline]
     pub fn addr_of(&self, i: usize) -> u64 {
-        self.base_addr + i as u64 * T::SIZE
+        self.mem.base_addr + i as u64 * T::SIZE
     }
 
     /// The label given at allocation time (for debugging OOMs).
     pub fn label(&self) -> &'static str {
-        self.label
+        self.mem.label
     }
 
     /// The device this buffer lives on.
     pub fn device(&self) -> &Device {
-        &self.dev
+        &self.mem.dev
     }
 
     /// View as a host slice (the simulator executes on the host).
+    #[inline]
     pub fn as_slice(&self) -> &[T] {
         &self.data
     }
 
-    /// Mutable host view.
+    /// Mutable host view. Copies the host storage first if an alias
+    /// shares it.
+    #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consume the buffer, returning the host vector. The ledger is credited
-    /// as if the buffer were freed.
-    pub fn into_vec(mut self) -> Vec<T> {
-        std::mem::take(&mut self.data)
+    /// Consume the buffer, returning the host vector (copied only if an
+    /// alias still shares it). The ledger is credited as if the buffer
+    /// were freed.
+    pub fn into_vec(self) -> Vec<T> {
+        Arc::unwrap_or_clone(self.data)
     }
 
-    /// A zero-cost aliasing view: the same simulated address range, no
-    /// additional ledger charge, no kernel traffic. This models passing a
-    /// column pointer between operators (the host data is duplicated only
-    /// because the simulator has no shared ownership; the device model —
-    /// addresses, L2 behaviour, memory accounting — is identical). Callers
-    /// must not mutate either alias afterwards.
+    /// A zero-cost aliasing view: the same simulated address range and the
+    /// same host storage, no additional ledger charge, no kernel traffic.
+    /// This models passing a column pointer between operators. A write
+    /// through either handle copies the host storage first, so the other
+    /// handle's bytes never change.
     pub fn alias(&self) -> DeviceBuffer<T> {
         DeviceBuffer {
-            data: self.data.clone(),
-            base_addr: self.base_addr,
-            charged_bytes: 0,
-            label: self.label,
-            dev: self.dev.clone(),
+            data: Arc::clone(&self.data),
+            mem: self.mem.view(),
         }
     }
 }
 
 impl<T: Element> std::ops::Deref for DeviceBuffer<T> {
     type Target = [T];
+    #[inline]
     fn deref(&self) -> &[T] {
         &self.data
-    }
-}
-
-impl<T: Element> std::ops::DerefMut for DeviceBuffer<T> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-}
-
-impl<T: Element> Drop for DeviceBuffer<T> {
-    fn drop(&mut self) {
-        // Zero-charged drops (aliases, empty buffers) never moved the
-        // ledger, so they produce no timeline sample either.
-        if self.charged_bytes == 0 {
-            return;
-        }
-        let mut st = self.dev.inner.state.lock();
-        // A query buffer may legally outlive its scheduling session (the
-        // next sched_start clears the per-query slots), in which case the
-        // credit has nowhere to go and is dropped.
-        if self
-            .dev
-            .query
-            .is_some_and(|q| q as usize >= st.queries.len())
-        {
-            return;
-        }
-        st.scope(self.dev.query).mem.free(self.charged_bytes);
-        st.on_mem(self.dev.query);
     }
 }
 
 impl<T: Element> std::fmt::Debug for DeviceBuffer<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeviceBuffer")
-            .field("label", &self.label)
+            .field("label", &self.mem.label)
             .field("len", &self.data.len())
-            .field("base_addr", &self.base_addr)
+            .field("base_addr", &self.mem.base_addr)
             .finish()
     }
 }
@@ -350,6 +382,55 @@ mod tests {
         drop(a);
         assert_eq!(dev.mem_report().live_allocations, 0);
         assert_eq!(dev.mem_report().current_bytes, 0);
+    }
+
+    #[test]
+    fn alias_shares_host_storage_until_a_write() {
+        let dev = Device::a100();
+        let mut a = dev.upload(vec![1i32, 2, 3], "a");
+        let mut view = a.alias();
+        assert_eq!(view.as_slice().as_ptr(), a.as_slice().as_ptr());
+        let before = dev.mem_report();
+        // A write through the alias copies first: the source keeps its bytes.
+        view.as_mut_slice()[0] = 10;
+        assert_eq!(a.as_slice(), &[1, 2, 3]);
+        assert_eq!(view.as_slice(), &[10, 2, 3]);
+        // And a write through a shared source leaves the alias unchanged.
+        let second = a.alias();
+        a.as_mut_slice()[1] = 20;
+        assert_eq!(second.as_slice(), &[1, 2, 3]);
+        assert_eq!(a.as_slice(), &[1, 20, 3]);
+        // Neither the copies nor the alias drops move the ledger.
+        assert_eq!(dev.mem_report(), before);
+        drop((view, second));
+        assert_eq!(dev.mem_report(), before);
+        assert_eq!(a.into_vec(), vec![1, 20, 3]);
+        assert_eq!(dev.mem_report().current_bytes, 0);
+    }
+
+    #[test]
+    fn reservation_charges_exactly_like_an_alloc() {
+        // Mirror every step on two fresh devices: one allocates host-backed
+        // buffers, the other reserves the same bytes.
+        let (alloc_dev, reserve_dev) = (Device::a100(), Device::a100());
+        for bytes in [1000u64, 0, 4096] {
+            let buf = alloc_dev.alloc::<u8>(bytes as usize, "buf");
+            let res = reserve_dev.reserve(bytes, "res");
+            assert_eq!(reserve_dev.mem_report(), alloc_dev.mem_report());
+            // Both took the same address range: the next one handed out
+            // is the same on both devices.
+            let (next_a, next_r) = (
+                alloc_dev.alloc::<u8>(1, "n"),
+                reserve_dev.alloc::<u8>(1, "n"),
+            );
+            assert_eq!(next_a.addr_of(0), next_r.addr_of(0));
+            drop((buf, next_a));
+            drop((res, next_r));
+            assert_eq!(reserve_dev.mem_report(), alloc_dev.mem_report());
+        }
+        assert_eq!(reserve_dev.mem_report().current_bytes, 0);
+        assert_eq!(reserve_dev.mem_report().live_allocations, 0);
+        assert!(reserve_dev.mem_report().peak_bytes > 0);
     }
 
     #[test]
